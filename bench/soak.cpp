@@ -1,7 +1,8 @@
 // Multi-tenant service-layer soak: N client threads hammer one service
 // through session handles for a fixed wall budget, with mixed traffic —
-// forward/inverse transforms, negacyclic products, R-LWE encryptions and
-// an RNS-RLWE limb tenant emitting relinearization-shaped traffic (evk
+// forward/inverse transforms, negacyclic products, R-LWE encryptions (the
+// crypto client's staged ring products, one polymul ticket each) and an
+// RNS-RLWE limb tenant emitting relinearization-shaped traffic (evk
 // products, base-extension lifts, congruence-preserving rescale
 // corrections) — under the EDF ready-queue policy.
 //
@@ -53,6 +54,7 @@
 
 #include "common/table.h"
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "nttmath/primes.h"
 #include "runtime/context.h"
 #include "service/service.h"
@@ -118,6 +120,11 @@ soak_result run_soak(unsigned threads, unsigned millis, const std::string& trace
       {"crypto", {.priority = 2}},
   };
   constexpr unsigned kClasses = sizeof(classes) / sizeof(classes[0]);
+  crypto::param_set ring;
+  ring.name = "soak";
+  ring.n = kOrder;
+  ring.q = kRingQ;
+  ring.min_tile_bits = kRingBits;
 
   auto ropts = runtime::runtime_options()
                    .with_ring(kOrder, kRingQ, kRingBits)
@@ -150,69 +157,99 @@ soak_result run_soak(unsigned threads, unsigned millis, const std::string& trace
       const unsigned cls = t % kClasses;
       const u64 q = cls == 2 ? limb : kRingQ;
       common::xoshiro256ss rng(1000 + t);
+      // Admission with back-off: a rejection is the backpressure contract,
+      // not an error — note it, ease off, and let the caller retry.
+      const auto admit = [&](auto&& job, std::vector<service::ticket>& batch) {
+        try {
+          batch.push_back(sess.submit(std::move(job)));
+          ++book.admitted;
+          return true;
+        } catch (const service::admission_error&) {
+          ++book.rejected;
+          std::this_thread::sleep_for(std::chrono::microseconds(200));
+          return false;
+        }
+      };
+      const auto reap = [&](std::vector<service::ticket>& batch) {
+        std::vector<runtime::job_result> out;
+        for (auto& tk : batch) {
+          out.push_back(tk.get());
+          ++book.received;
+          ++(out.back().status == runtime::job_status::ok ? book.ok : book.failed);
+        }
+        return out;
+      };
+      // The crypto tenant's ring products: one polymul ticket per pair on
+      // this session, retried until admitted (a flow cannot drop a product).
+      const auto batch_mul = [&](std::vector<core::polymul_pair> pairs) {
+        std::vector<service::ticket> batch;
+        for (auto& pr : pairs) {
+          while (!admit(runtime::polymul_job{pr.a, pr.b}, batch)) {
+          }
+        }
+        std::vector<crypto::poly> products;
+        for (auto& r : reap(batch)) {
+          if (r.status != runtime::job_status::ok) throw std::runtime_error(r.error);
+          products.push_back(std::move(r.outputs.front()));
+        }
+        return products;
+      };
       while (std::chrono::steady_clock::now() < stop_at) {
+        if (cls == 3) {
+          // crypto: end-to-end R-LWE encryptions, 8 flows per staged batch.
+          std::vector<crypto::rlwe_request> requests(8);
+          for (auto& rq : requests) {
+            rq.message.resize(kOrder);
+            for (auto& m : rq.message) m = rng() & 1;
+            rq.seed = rng();
+          }
+          try {
+            (void)crypto::rlwe_encrypt_batch(ring, requests, batch_mul);
+          } catch (const std::runtime_error&) {
+            // A failed product is already in the books; drop the flow.
+          }
+          continue;
+        }
         // A batch of submissions, then reap: keeps a backlog in front of
         // the drainer without letting tickets pile up unboundedly.
         std::vector<service::ticket> batch;
         for (unsigned i = 0; i < 8; ++i) {
-          try {
-            switch (cls) {
-              case 1:  // bulk: ring products
-                batch.push_back(sess.submit(runtime::polymul_job{
-                    .a = random_poly(q, rng), .b = random_poly(q, rng)}));
-                break;
-              case 2:  // rns-rlwe: what a leveled client's relinearization
-                       // emits on its limb stream — the evk product, the
-                       // base-extension lift, the modulus-switch correction
-                switch (i % 3) {
-                  case 0:
-                    batch.push_back(sess.submit(runtime::polymul_job{
-                        .a = random_poly(q, rng), .b = random_poly(q, rng)}));
-                    break;
-                  case 1:
-                    batch.push_back(sess.submit(runtime::rns_base_extend_job{
-                        .prime = limb,
-                        .source_primes = {partner},
-                        .residues = {random_poly(partner, rng)}}));
-                    break;
-                  default:
-                    batch.push_back(sess.submit(runtime::rns_rescale_job{
-                        .prime = limb,
-                        .drop_prime = partner,
-                        .x = random_poly(limb, rng),
-                        .dropped = random_poly(partner, rng),
-                        .congruence = 2}));
-                }
-                break;
-              case 3: {  // crypto: end-to-end R-LWE encryptions
-                std::vector<u64> msg(kOrder);
-                for (auto& m : msg) m = rng() & 1;
-                batch.push_back(sess.submit(runtime::rlwe_encrypt_job{
-                    .message = std::move(msg), .eta = 2, .seed = rng()}));
-                break;
+          switch (cls) {
+            case 1:  // bulk: ring products
+              admit(runtime::polymul_job{.a = random_poly(q, rng), .b = random_poly(q, rng)},
+                    batch);
+              break;
+            case 2:  // rns-rlwe: what a leveled client's relinearization
+                     // emits on its limb stream — the evk product, the
+                     // base-extension lift, the modulus-switch correction
+              switch (i % 3) {
+                case 0:
+                  admit(runtime::polymul_job{.a = random_poly(q, rng), .b = random_poly(q, rng)},
+                        batch);
+                  break;
+                case 1:
+                  admit(runtime::rns_base_extend_job{.prime = limb,
+                                                     .source_primes = {partner},
+                                                     .residues = {random_poly(partner, rng)}},
+                        batch);
+                  break;
+                default:
+                  admit(runtime::rns_rescale_job{.prime = limb,
+                                                 .drop_prime = partner,
+                                                 .x = random_poly(limb, rng),
+                                                 .dropped = random_poly(partner, rng),
+                                                 .congruence = 2},
+                        batch);
               }
-              default:  // latency: transforms both ways
-                batch.push_back(sess.submit(runtime::ntt_job{
-                    .dir = (rng() & 1) ? core::transform_dir::forward
-                                       : core::transform_dir::inverse,
-                    .coeffs = random_poly(q, rng)}));
-            }
-            ++book.admitted;
-          } catch (const service::admission_error&) {
-            // Backpressure is the contract, not an error: note it, ease off.
-            ++book.rejected;
-            std::this_thread::sleep_for(std::chrono::microseconds(200));
+              break;
+            default:  // latency: transforms both ways
+              admit(runtime::ntt_job{.dir = (rng() & 1) ? core::transform_dir::forward
+                                                        : core::transform_dir::inverse,
+                                     .coeffs = random_poly(q, rng)},
+                    batch);
           }
         }
-        for (auto& tk : batch) {
-          const auto r = tk.get();
-          ++book.received;
-          if (r.status == runtime::job_status::ok) {
-            ++book.ok;
-          } else {
-            ++book.failed;
-          }
-        }
+        (void)reap(batch);
       }
     });
   }

@@ -3,16 +3,17 @@
 // (lattice-based crypto on resource-constrained edge devices, with
 // plaintext never leaving the chip).
 //
-// The runtime executes each rlwe_encrypt_job entirely through its backend:
-// keygen, encrypt and a decrypt round-trip, with every polynomial product
-// running the full in-array pipeline (NTT(a) and NTT(b) at two row regions,
-// in-array pointwise multiply, inverse NTT).  Determinism from the job seed
-// lets the same jobs re-run on the reference backend for a bit-exactness
-// cross-check.
+// crypto::rlwe_encrypt_batch runs keygen, encrypt and a decrypt round-trip
+// per message, and hands every ring product to the runtime as a plain
+// polymul_job on one stream — each product runs the full in-array pipeline
+// (NTT(a) and NTT(b) at two row regions, in-array pointwise multiply,
+// inverse NTT).  Determinism from the request seed lets the same requests
+// re-run on the reference backend for a bit-exactness cross-check.
 #include <cstdio>
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "crypto/sampler.h"
 #include "runtime/context.h"
 
@@ -26,64 +27,62 @@ int main() {
                         .with_ring(128, 3329, 13)
                         .with_backend(runtime::backend_kind::sram);
   runtime::context ctx(opts);
+  const auto ring = crypto::runtime_ring(ctx);
 
   std::printf("=== R-LWE encrypt/decrypt on the BP-NTT runtime (n=%llu, q=%llu) ===\n\n",
               static_cast<unsigned long long>(opts.params.n),
               static_cast<unsigned long long>(opts.params.q));
 
   common::xoshiro256ss rng(2024);
-  std::vector<runtime::job_id> ids;
-  std::vector<std::vector<core::u64>> messages;
+  std::vector<crypto::rlwe_request> requests;
   for (int trial = 0; trial < 4; ++trial) {
-    messages.push_back(crypto::sample_message(opts.params.n, rng));
-    ids.push_back(ctx.submit(runtime::rlwe_encrypt_job{
-        .message = messages.back(), .eta = 2, .seed = 9000 + static_cast<core::u64>(trial)}));
+    requests.push_back({.message = crypto::sample_message(opts.params.n, rng),
+                        .eta = 2,
+                        .seed = 9000 + static_cast<core::u64>(trial)});
   }
 
-  // Each job's outputs are {ciphertext u, ciphertext v, decrypted message}.
-  // All four flows flush together, so the scheduler batches them stage by
-  // stage: every keygen product in one dispatch, every encryption product
-  // in one, every decryption product in one — each job_result carries the
-  // shared group accounting (jobs_in_batch tells how many flows rode it).
+  // Each result is {ciphertext u, ciphertext v, decrypted message}.  The
+  // client batches the four flows stage by stage: every keygen product in
+  // one dispatch, every encryption product in one, every decryption
+  // product in one.
+  const auto results = crypto::rlwe_encrypt_batch(
+      ring, requests, crypto::stream_batch_mul(ctx, ctx.default_stream()));
+  const auto accel = ctx.stats();
   unsigned ok = 0;
-  sram::op_stats accel_stats;
-  for (std::size_t trial = 0; trial < ids.size(); ++trial) {
-    const auto r = ctx.wait(ids[trial]);
-    const bool match = r.outputs[2] == messages[trial];
+  for (std::size_t trial = 0; trial < results.size(); ++trial) {
+    const bool match = results[trial].decrypted == requests[trial].message;
     ok += match;
-    if (trial == 0) accel_stats = r.op_stats;  // group stats, counted once
-    std::printf("trial %zu: %llu message bits -> %s (rode a %zu-job staged batch)\n", trial,
+    std::printf("trial %zu: %llu message bits -> %s (rode a %zu-flow staged batch)\n", trial,
                 static_cast<unsigned long long>(opts.params.n),
-                match ? "decrypted exactly" : "DECRYPTION FAILED", r.jobs_in_batch);
+                match ? "decrypted exactly" : "DECRYPTION FAILED", results.size());
   }
 
-  // Cross-check: the same seeded jobs on the golden backend must produce
-  // bit-identical ciphertexts — the in-SRAM products are exact.
+  // Cross-check: the same seeded requests on the golden backend must
+  // produce bit-identical ciphertexts — the in-SRAM products are exact.
   runtime::context golden(
       runtime::runtime_options(opts).with_backend(runtime::backend_kind::reference));
+  const auto want = crypto::rlwe_encrypt_batch(
+      ring, requests, crypto::stream_batch_mul(golden, golden.default_stream()));
   bool bit_exact = true;
-  for (std::size_t trial = 0; trial < messages.size(); ++trial) {
-    const auto id = golden.submit(runtime::rlwe_encrypt_job{
-        .message = messages[trial], .eta = 2, .seed = 9000 + static_cast<core::u64>(trial)});
-    const auto want = golden.wait(id);
-    const auto again = ctx.submit(runtime::rlwe_encrypt_job{
-        .message = messages[trial], .eta = 2, .seed = 9000 + static_cast<core::u64>(trial)});
-    const auto got = ctx.wait(again);
-    bit_exact = bit_exact && got.outputs[0] == want.outputs[0] && got.outputs[1] == want.outputs[1];
+  for (std::size_t trial = 0; trial < results.size(); ++trial) {
+    bit_exact =
+        bit_exact && results[trial].u == want[trial].u && results[trial].v == want[trial].v;
   }
   std::printf("\nin-SRAM ciphertexts vs reference backend: %s\n",
               bit_exact ? "bit-exact" : "MISMATCH");
 
-  // Four ring products per job: keygen's a*s, the two encryption products
-  // and the decryption product — batched into three staged dispatches for
-  // the whole job group.
+  // Four ring products per message: keygen's a*s, the two encryption
+  // products and the decryption product — three staged dispatches for the
+  // whole batch, back to back on the default stream.
   const double freq_ghz = opts.array.tech.freq_ghz;
-  std::printf("\naccelerator totals over %zu ring products (3 staged dispatches): "
+  std::printf("\naccelerator totals over %llu ring products (%llu staged dispatches): "
               "%llu cycles, %.1f nJ (%.1f us at %.1f GHz)\n",
-              4 * ids.size(), static_cast<unsigned long long>(accel_stats.cycles),
-              accel_stats.energy_pj * 1e-3, accel_stats.cycles / (freq_ghz * 1e3), freq_ghz);
+              static_cast<unsigned long long>(accel.jobs_completed),
+              static_cast<unsigned long long>(accel.batches),
+              static_cast<unsigned long long>(accel.wall_cycles), accel.energy_nj,
+              accel.wall_cycles / (freq_ghz * 1e3), freq_ghz);
   std::printf("plaintext polynomials never left the subarray in plain form — the trusted\n"
               "computing base stays on-chip (§I).\n");
 
-  return (ok == ids.size() && bit_exact) ? 0 : 1;
+  return (ok == results.size() && bit_exact) ? 0 : 1;
 }

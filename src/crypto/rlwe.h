@@ -7,7 +7,9 @@
 //   decrypt: m' = round_to_bit(v - u*s)
 //
 // The ring product is pluggable so the same scheme can run on the golden
-// CPU NTT or entirely on the in-SRAM engine (examples/rlwe_encrypt).
+// CPU NTT or on the in-SRAM engine; rlwe_encrypt_batch below runs many
+// flows with their products batched through a runtime stream
+// (examples/rlwe_encrypt).
 // This is a pedagogical scheme — no CCA transform, no compression — sized
 // so decryption succeeds with overwhelming margin at the provided params.
 #pragma once
@@ -22,6 +24,11 @@
 #include "crypto/sampler.h"
 #include "nttmath/ntt.h"
 #include "nttmath/poly.h"
+#include "runtime/stream.h"
+
+namespace bpntt::runtime {
+class context;
+}
 
 namespace bpntt::crypto {
 
@@ -66,43 +73,50 @@ class rlwe_scheme {
   std::unique_ptr<math::ntt_tables> tables_;  // only for the default mul
 };
 
-// ---- Staged primitives -----------------------------------------------------
+// ---- Batched client over the runtime ---------------------------------------
 //
-// The sampling and recombination halves of the scheme with the ring
-// products factored out, so a batch scheduler can run the products of many
-// independent key/encrypt/decrypt flows as one wide dispatch (the bpntt
-// runtime batches all pending rlwe jobs stage by stage).  keygen / encrypt
-// / decrypt above are compositions of these, so the staged path is
-// bit-identical to the serial one for the same RNG stream.
+// LPR encryption of many independent messages with the ring products of
+// every flow batched together: all keygen products in one batch_mul call,
+// all encryption products in one, all decryption products in one — three
+// calls of m, 2m and m pairs for m requests.  R-LWE is a client of ring
+// products, not a runtime job kind: the products are plain polymul_jobs,
+// so they merge and chunk like any other.  Each request draws from its own
+// xoshiro256ss(seed) stream in the serial scheme's order (keygen's a, s, e,
+// then encrypt's r, e1, e2), so a batch is bit-identical to running
+// rlwe_scheme once per request with that seed.
 
-// Everything keygen draws, in draw order: a <- U, s <- CBD, e <- CBD.
-struct rlwe_keygen_randomness {
-  poly a;
-  poly s;
-  poly e;
-};
-// Everything encrypt draws, in draw order: r, e1, e2 <- CBD.
-struct rlwe_encrypt_randomness {
-  poly r;
-  poly e1;
-  poly e2;
+struct rlwe_request {
+  poly message;  // n coefficients, each 0 or 1
+  unsigned eta = 2;
+  std::uint64_t seed = 1;
 };
 
-[[nodiscard]] rlwe_keygen_randomness rlwe_sample_keygen(const param_set& p, unsigned eta,
-                                                        common::xoshiro256ss& rng);
-[[nodiscard]] rlwe_encrypt_randomness rlwe_sample_encrypt(const param_set& p, unsigned eta,
-                                                          common::xoshiro256ss& rng);
-// `as` is the keygen product a*s: pk = (a, as + e), sk = s.
-[[nodiscard]] rlwe_scheme::keypair rlwe_finish_keygen(const param_set& p,
-                                                      rlwe_keygen_randomness rnd, poly as);
-// `ar` / `br` are the encryption products a*r and b*r:
-// u = ar + e1, v = br + e2 + round(q/2)*m.
-[[nodiscard]] ciphertext rlwe_finish_encrypt(const param_set& p,
-                                             const rlwe_encrypt_randomness& rnd,
-                                             std::span<const std::uint64_t> message, poly ar,
-                                             poly br);
-// `us` is the decryption product u*s.
-[[nodiscard]] poly rlwe_decrypt_from_product(const param_set& p, const ciphertext& ct,
-                                             const poly& us);
+struct rlwe_result {
+  poly u;          // ciphertext
+  poly v;
+  poly decrypted;  // the decryption round-trip of (u, v)
+};
+
+// Maps ring-product pairs to their negacyclic products, in order.
+using batch_polymul_fn = std::function<std::vector<poly>(std::vector<core::polymul_pair>)>;
+
+// Throws std::invalid_argument before the first batch_mul call when the
+// ring lacks a full negacyclic NTT or a message is not n coefficients in
+// {0, 1}; std::logic_error when batch_mul returns the wrong count.
+[[nodiscard]] std::vector<rlwe_result> rlwe_encrypt_batch(
+    const param_set& params, std::span<const rlwe_request> requests,
+    const batch_polymul_fn& batch_mul);
+
+// The context's ring (n, q, tile width) as an R-LWE parameter set.
+[[nodiscard]] param_set runtime_ring(const runtime::context& ctx);
+
+// batch_mul over one stream of `ctx`: each call submits every pair as a
+// polymul_job on `s`, flushes `s`, then waits on each product (a failed
+// product is rethrown once every product has been claimed).  Throws
+// std::invalid_argument up front for a ring-overridden (RNS limb) stream
+// or a context ring without a full negacyclic NTT; a backend without ring
+// products rejects the first submit.  The returned function refers to
+// `ctx` and must not outlive it.
+[[nodiscard]] batch_polymul_fn stream_batch_mul(runtime::context& ctx, runtime::stream s);
 
 }  // namespace bpntt::crypto

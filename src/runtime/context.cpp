@@ -8,8 +8,6 @@
 #include <string>
 #include <utility>
 
-#include "common/xoshiro.h"
-#include "crypto/rlwe.h"
 #include "nttmath/primes.h"
 #include "telemetry/trace_export.h"
 
@@ -281,7 +279,6 @@ context& stream::bound() const {
 
 job_id stream::submit(ntt_job j) { return bound().submit_ntt(id_, std::move(j)); }
 job_id stream::submit(polymul_job j) { return bound().submit_polymul(id_, std::move(j)); }
-job_id stream::submit(rlwe_encrypt_job j) { return bound().submit_rlwe(id_, std::move(j)); }
 job_id stream::submit(rns_rescale_job j) { return bound().submit_rescale(id_, std::move(j)); }
 job_id stream::submit(rns_base_extend_job j) {
   return bound().submit_base_extend(id_, std::move(j));
@@ -289,6 +286,7 @@ job_id stream::submit(rns_base_extend_job j) {
 void stream::flush() { bound().flush_stream(id_); }
 void stream::close() { bound().close_stream(id_); }
 std::size_t stream::pending() const { return bound().stream_pending(id_); }
+u64 stream::ring_q() const { return bound().state_of(id_).sopts.ring_q; }
 std::vector<unsigned> stream::bank_set() const { return bound().stream_bank_set(id_); }
 
 // ---- submission ------------------------------------------------------------
@@ -337,27 +335,6 @@ job_id context::submit_polymul(unsigned sid, polymul_job j) {
     throw std::invalid_argument(
         "runtime: this backend's capabilities exclude ring products at these parameters (the "
         "in-SRAM pipeline needs two n-row operand regions per lane: 2n <= data_rows)");
-  }
-  return enqueue(sid, std::move(j));
-}
-
-job_id context::submit_rlwe(unsigned sid, rlwe_encrypt_job j) {
-  const auto& p = opts_.params;
-  if (state_of(sid).sopts.ring_q != 0) {
-    throw std::invalid_argument(
-        "runtime: rlwe_encrypt_job is ring-specific and cannot run on a ring-overridden "
-        "(RNS limb) stream");
-  }
-  if (j.message.size() != p.n) {
-    throw std::invalid_argument("runtime: rlwe message must have exactly n bits");
-  }
-  if (!p.negacyclic || p.incomplete || (p.q - 1) % (2 * p.n) != 0) {
-    throw std::invalid_argument(
-        "runtime: rlwe_encrypt_job needs a ring with a full negacyclic NTT (2n | q-1)");
-  }
-  if (!caps_.polymul) {
-    throw std::invalid_argument(
-        "runtime: rlwe_encrypt_job needs in-array ring products (2n <= data_rows)");
   }
   return enqueue(sid, std::move(j));
 }
@@ -436,7 +413,6 @@ job_id context::submit_base_extend(unsigned sid, rns_base_extend_job j) {
 
 job_id context::submit(ntt_job j) { return submit_ntt(0, std::move(j)); }
 job_id context::submit(polymul_job j) { return submit_polymul(0, std::move(j)); }
-job_id context::submit(rlwe_encrypt_job j) { return submit_rlwe(0, std::move(j)); }
 
 // ---- RNS fan-out ------------------------------------------------------------
 
@@ -603,23 +579,18 @@ std::shared_ptr<dispatch_group> context::build_group(unsigned sid) {
   // are keyed by job_id, so regrouping never misroutes an output.
   auto g = std::make_shared<dispatch_group>();
   for (auto& [id, j] : ss.queue) {
+    const auto push = [id = id](auto& kind, auto&& job) {
+      kind.ids.push_back(id);
+      kind.jobs.push_back(std::move(job));
+    };
     if (auto* ntt = std::get_if<ntt_job>(&j)) {
-      auto& ids = ntt->dir == transform_dir::forward ? g->plan.fwd_ids : g->plan.inv_ids;
-      auto& group = ntt->dir == transform_dir::forward ? g->plan.fwd : g->plan.inv;
-      ids.push_back(id);
-      group.push_back(std::move(*ntt));
+      push(ntt->dir == transform_dir::forward ? g->plan.fwd : g->plan.inv, std::move(*ntt));
     } else if (auto* mul = std::get_if<polymul_job>(&j)) {
-      g->plan.mul_ids.push_back(id);
-      g->plan.muls.push_back(std::move(*mul));
+      push(g->plan.muls, std::move(*mul));
     } else if (auto* rescale = std::get_if<rns_rescale_job>(&j)) {
-      g->plan.rescale_ids.push_back(id);
-      g->plan.rescales.push_back(std::move(*rescale));
-    } else if (auto* bext = std::get_if<rns_base_extend_job>(&j)) {
-      g->plan.bext_ids.push_back(id);
-      g->plan.bexts.push_back(std::move(*bext));
+      push(g->plan.rescales, std::move(*rescale));
     } else {
-      g->plan.rlwe_ids.push_back(id);
-      g->plan.rlwes.push_back(std::move(std::get<rlwe_encrypt_job>(j)));
+      push(g->plan.bexts, std::move(std::get<rns_base_extend_job>(j)));
     }
   }
   ss.queue.clear();
@@ -638,19 +609,15 @@ std::shared_ptr<dispatch_group> context::build_group(unsigned sid) {
   if (resman_ && ss.sopts.ring_q != 0 && caps_.banks() != 0) {
     g->affinity_banks = resman_->banks_holding(ss.sopts.ring_q);
   }
-  // Merge eligibility: R-LWE groups run a staged multi-dispatch flow that
-  // cannot share a dispatch, and a stream may opt out wholesale.
-  g->mergeable = !ss.sopts.no_merge && g->plan.rlwe_ids.empty();
+  g->mergeable = !ss.sopts.no_merge;
   return g;
 }
 
 void context::admit_group_locked(std::shared_ptr<dispatch_group> g) {
   // Jobs become in-flight before the group can run, so a wait() racing the
   // pool can never mistake a dispatched job for a claimed one.
-  for (const auto* ids : {&g->plan.fwd_ids, &g->plan.inv_ids, &g->plan.mul_ids,
-                          &g->plan.rlwe_ids, &g->plan.rescale_ids, &g->plan.bext_ids}) {
-    in_flight_.insert(ids->begin(), ids->end());
-  }
+  g->plan.for_each_ids(
+      [&](const std::vector<job_id>& ids) { in_flight_.insert(ids.begin(), ids.end()); });
   m_.groups->add();
   const dispatch_group* gp = g.get();
   sched_->enqueue(std::move(g));
@@ -712,13 +679,100 @@ void context::flush() {
 
 // ---- group execution --------------------------------------------------------
 
-void context::run_group(const std::shared_ptr<dispatch_group>& g) {
-  bool yielded = false;
-  if (!g->absorbed.empty()) {
-    run_merged_group(g);
-  } else {
-    yielded = run_solo_group(g);
+template <class Job, class Run>
+bool context::run_kind(const std::shared_ptr<dispatch_group>& g,
+                       const std::vector<dispatch_group*>& members, const dispatch_hints& hints,
+                       kind_batch<Job> flush_plan::*kind, telemetry::trace_op op, Run&& run) {
+  // Budget 0 dispatches the kind whole with no yield points.  A budgeted
+  // (solo) group hands its jobs to the backend at most budget at a time and
+  // offers its banks to any earlier-ordered ready group between chunks
+  // (scheduler::should_yield).
+  const u64 budget = hints.chunk_budget;
+  for (;;) {
+    std::vector<member_slice> slices;
+    std::vector<Job> jobs;
+    for (dispatch_group* m : members) {
+      auto& [ids, queued] = m->plan.*kind;
+      if (ids.empty()) continue;
+      const std::size_t take =
+          budget == 0 ? ids.size() : std::min<std::size_t>(ids.size(), budget);
+      slices.push_back({m, std::vector<job_id>(ids.begin(), ids.begin() + take)});
+      jobs.insert(jobs.end(), std::make_move_iterator(queued.begin()),
+                  std::make_move_iterator(queued.begin() + take));
+      ids.erase(ids.begin(), ids.begin() + take);
+      queued.erase(queued.begin(), queued.begin() + take);
+    }
+    if (slices.empty()) return false;
+
+    // A backend exception fails exactly this dispatch (or chunk): sibling
+    // dispatches of the same group, and other streams' groups, still run.
+    const std::size_t total = jobs.size();
+    try {
+      distribute(*g, slices, total, run(jobs), op);
+    } catch (const std::exception& e) {
+      for (const auto& s : slices) fail_group(*s.g, s.ids, e.what());
+    } catch (...) {
+      for (const auto& s : slices) fail_group(*s.g, s.ids, "unknown backend error");
+    }
+
+    if (budget != 0 && !g->plan.empty()) {
+      std::lock_guard<std::mutex> lk(mu_);
+      if (sched_->should_yield(*g)) {
+        // Give the banks to the earlier-ordered group: release the claim,
+        // re-enqueue the remainder at its original policy position, and
+        // schedule — the urgent group claims the banks on this pass.
+        sched_->release(*g);
+        sched_->requeue_preempted(g);
+        kick_locked();
+        return true;
+      }
+    }
   }
+}
+
+void context::run_group(const std::shared_ptr<dispatch_group>& g) {
+  // Members: the host first, then absorbed groups in absorption order.  A
+  // merged group runs whole on the claimed bank union; a solo group keeps
+  // its stream's chunk budget.  Per-job math is independent, so a
+  // concatenated dispatch is bit-identical to running the members
+  // separately — only the makespan and per-dispatch amortization change.
+  std::vector<dispatch_group*> members{g.get()};
+  for (const auto& m : g->absorbed) members.push_back(m.get());
+  dispatch_hints hints = g->hints;
+  if (members.size() > 1) hints.chunk_budget = 0;
+  if (caps_.banks() != 0) hints.bank_set = g->resources;
+
+  const auto coeffs = [](std::vector<ntt_job>& jobs) {
+    std::vector<std::vector<u64>> polys;
+    polys.reserve(jobs.size());
+    for (auto& j : jobs) polys.push_back(std::move(j.coeffs));
+    return polys;
+  };
+  // Kinds run in a fixed order; a yield leaves the rest of the plan queued.
+  const bool yielded =
+      run_kind(g, members, hints, &flush_plan::fwd, telemetry::trace_op::ntt_forward,
+               [&](std::vector<ntt_job>& jobs) {
+                 return backend_->run_ntt(coeffs(jobs), transform_dir::forward, hints);
+               }) ||
+      run_kind(g, members, hints, &flush_plan::inv, telemetry::trace_op::ntt_inverse,
+               [&](std::vector<ntt_job>& jobs) {
+                 return backend_->run_ntt(coeffs(jobs), transform_dir::inverse, hints);
+               }) ||
+      run_kind(g, members, hints, &flush_plan::muls, telemetry::trace_op::polymul,
+               [&](std::vector<polymul_job>& jobs) {
+                 std::vector<core::polymul_pair> pairs;
+                 pairs.reserve(jobs.size());
+                 for (auto& j : jobs) pairs.push_back({std::move(j.a), std::move(j.b)});
+                 return backend_->run_polymul(pairs, hints);
+               }) ||
+      run_kind(g, members, hints, &flush_plan::rescales, telemetry::trace_op::rescale,
+               [&](std::vector<rns_rescale_job>& jobs) {
+                 return backend_->run_rescale(jobs, hints);
+               }) ||
+      run_kind(g, members, hints, &flush_plan::bexts, telemetry::trace_op::base_extend,
+               [&](std::vector<rns_base_extend_job>& jobs) {
+                 return backend_->run_base_extend(jobs, hints);
+               });
   // A yielded group released its banks and re-entered the ready queue
   // inside the yield decision; everything else releases here and lets the
   // next contender in.
@@ -726,196 +780,6 @@ void context::run_group(const std::shared_ptr<dispatch_group>& g) {
   std::lock_guard<std::mutex> lk(mu_);
   sched_->release(*g);
   kick_locked();
-}
-
-bool context::run_solo_group(const std::shared_ptr<dispatch_group>& g) {
-  // Dispatches within a group run in submission order; a backend exception
-  // fails exactly its own dispatch (or chunk) — sibling dispatches of the
-  // same group, and other streams' groups, still run.
-  const auto guarded = [&](const std::vector<job_id>& ids, auto&& fn) {
-    try {
-      fn();
-    } catch (const std::exception& e) {
-      fail_group(*g, ids, e.what());
-    } catch (...) {
-      fail_group(*g, ids, "unknown backend error");
-    }
-  };
-
-  // Chunked per-kind dispatch: a stream with a chunk_budget hands its jobs
-  // to the backend at most budget at a time and offers its banks to any
-  // earlier-ordered ready group between chunks (scheduler::should_yield).
-  // Budget 0 dispatches each kind whole with no yield points — the legacy
-  // path, bit-identical in outputs, dispatch counts and accounting.
-  const u64 budget = g->hints.chunk_budget;
-  const auto chunked = [&](std::vector<job_id>& ids, auto& jobs, auto&& dispatch_chunk) {
-    while (!ids.empty()) {
-      const std::size_t take =
-          budget == 0 ? ids.size() : std::min<std::size_t>(ids.size(), budget);
-      std::vector<job_id> cids(ids.begin(), ids.begin() + take);
-      std::decay_t<decltype(jobs)> cjobs(std::make_move_iterator(jobs.begin()),
-                                         std::make_move_iterator(jobs.begin() + take));
-      ids.erase(ids.begin(), ids.begin() + take);
-      jobs.erase(jobs.begin(), jobs.begin() + take);
-      guarded(cids, [&] { dispatch_chunk(cids, std::move(cjobs)); });
-      if (budget != 0 && !g->plan.empty()) {
-        std::lock_guard<std::mutex> lk(mu_);
-        if (sched_->should_yield(*g)) {
-          // Give the banks to the earlier-ordered group: release the claim,
-          // re-enqueue the remainder at its original policy position, and
-          // schedule — the urgent group claims the banks on this pass.
-          sched_->release(*g);
-          sched_->requeue_preempted(g);
-          kick_locked();
-          return true;
-        }
-      }
-    }
-    return false;
-  };
-
-  flush_plan& plan = g->plan;
-  if (chunked(plan.fwd_ids, plan.fwd, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_ntt_group(*g, ids, std::move(js), transform_dir::forward);
-      })) {
-    return true;
-  }
-  if (chunked(plan.inv_ids, plan.inv, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_ntt_group(*g, ids, std::move(js), transform_dir::inverse);
-      })) {
-    return true;
-  }
-  if (chunked(plan.mul_ids, plan.muls, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_polymul_group(*g, ids, std::move(js));
-      })) {
-    return true;
-  }
-  if (chunked(plan.rescale_ids, plan.rescales, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_rescale_group(*g, ids, std::move(js));
-      })) {
-    return true;
-  }
-  if (chunked(plan.bext_ids, plan.bexts, [&](const std::vector<job_id>& ids, auto&& js) {
-        dispatch_base_extend_group(*g, ids, std::move(js));
-      })) {
-    return true;
-  }
-  // R-LWE runs a staged three-dispatch flow over shared intermediates;
-  // it always dispatches whole (and is never merge-eligible).
-  if (!plan.rlwe_ids.empty()) {
-    std::vector<job_id> ids = std::move(plan.rlwe_ids);
-    plan.rlwe_ids.clear();
-    guarded(ids, [&] { run_rlwe_group(*g, ids, std::move(plan.rlwes)); });
-  }
-  return false;
-}
-
-void context::run_merged_group(const std::shared_ptr<dispatch_group>& g) {
-  // One dispatch per job kind over every member's jobs (host first, then
-  // absorbed groups in absorption order), sharded over the claimed bank
-  // union.  Per-job math is independent, so the concatenated dispatch is
-  // bit-identical to running the members separately — only the makespan
-  // and per-dispatch amortization change.
-  std::vector<dispatch_group*> members;
-  members.reserve(1 + g->absorbed.size());
-  members.push_back(g.get());
-  for (const auto& m : g->absorbed) members.push_back(m.get());
-
-  dispatch_hints hints = g->hints;
-  hints.chunk_budget = 0;  // merged dispatches run whole
-  if (caps_.banks() != 0) hints.bank_set = g->resources;
-
-  const auto guarded = [&](const std::vector<member_slice>& slices, auto&& fn) {
-    try {
-      fn();
-    } catch (const std::exception& e) {
-      for (const auto& s : slices) fail_group(*s.g, *s.ids, e.what());
-    } catch (...) {
-      for (const auto& s : slices) fail_group(*s.g, *s.ids, "unknown backend error");
-    }
-  };
-
-  // Forward and inverse transforms.
-  for (const transform_dir dir : {transform_dir::forward, transform_dir::inverse}) {
-    std::vector<member_slice> slices;
-    std::vector<std::vector<u64>> polys;
-    std::size_t total = 0;
-    for (auto* m : members) {
-      auto& ids = dir == transform_dir::forward ? m->plan.fwd_ids : m->plan.inv_ids;
-      auto& jobs = dir == transform_dir::forward ? m->plan.fwd : m->plan.inv;
-      if (ids.empty()) continue;
-      slices.push_back({m, &ids, total});
-      total += ids.size();
-      for (auto& j : jobs) polys.push_back(std::move(j.coeffs));
-    }
-    if (slices.empty()) continue;
-    guarded(slices, [&] {
-      distribute_merged(*g, slices, total, backend_->run_ntt(polys, dir, hints),
-                        dir == transform_dir::forward ? telemetry::trace_op::ntt_forward
-                                                      : telemetry::trace_op::ntt_inverse);
-    });
-  }
-
-  // Ring products.
-  {
-    std::vector<member_slice> slices;
-    std::vector<core::polymul_pair> pairs;
-    std::size_t total = 0;
-    for (auto* m : members) {
-      if (m->plan.mul_ids.empty()) continue;
-      slices.push_back({m, &m->plan.mul_ids, total});
-      total += m->plan.mul_ids.size();
-      for (auto& j : m->plan.muls) pairs.push_back({std::move(j.a), std::move(j.b)});
-    }
-    if (!slices.empty()) {
-      guarded(slices, [&] {
-        distribute_merged(*g, slices, total, backend_->run_polymul(pairs, hints),
-                          telemetry::trace_op::polymul);
-      });
-    }
-  }
-
-  // Rescale corrections.  Members may sit on different limb streams only
-  // when their ring modulus matches (merge eligibility), so one dispatch
-  // covers them all; each job still names its own limb prime.
-  {
-    std::vector<member_slice> slices;
-    std::vector<rns_rescale_job> jobs;
-    std::size_t total = 0;
-    for (auto* m : members) {
-      if (m->plan.rescale_ids.empty()) continue;
-      slices.push_back({m, &m->plan.rescale_ids, total});
-      total += m->plan.rescale_ids.size();
-      for (auto& j : m->plan.rescales) jobs.push_back(std::move(j));
-    }
-    if (!slices.empty()) {
-      guarded(slices, [&] {
-        distribute_merged(*g, slices, total, backend_->run_rescale(jobs, hints),
-                          telemetry::trace_op::rescale);
-      });
-    }
-  }
-
-  // Base extensions — same shape as the rescale section: one dispatch over
-  // every member's jobs, each job naming its own target limb prime.
-  {
-    std::vector<member_slice> slices;
-    std::vector<rns_base_extend_job> jobs;
-    std::size_t total = 0;
-    for (auto* m : members) {
-      if (m->plan.bext_ids.empty()) continue;
-      slices.push_back({m, &m->plan.bext_ids, total});
-      total += m->plan.bext_ids.size();
-      for (auto& j : m->plan.bexts) jobs.push_back(std::move(j));
-    }
-    if (!slices.empty()) {
-      guarded(slices, [&] {
-        distribute_merged(*g, slices, total, backend_->run_base_extend(jobs, hints),
-                          telemetry::trace_op::base_extend);
-      });
-    }
-  }
-  // Merge eligibility excludes R-LWE plans, so nothing else remains.
 }
 
 // ---- accounting and completion ---------------------------------------------
@@ -956,84 +820,50 @@ void require_output_count(std::size_t got, std::size_t want, const char* what) {
   }
 }
 
-// The one deadline check every dispatch path shares.  A stream deadline is
-// a completion budget measured from the stream's flush (the group's
-// reference virtual time); finishing *exactly at* the deadline is a meet,
-// not a miss — the boundary both dispatch paths must agree on.
+// The deadline check.  A stream deadline is a completion budget measured
+// from the stream's flush (the group's reference virtual time); finishing
+// *exactly at* the deadline is a meet, not a miss.
 bool past_deadline(const dispatch_hints& hints, u64 ref_vtime, u64 end) noexcept {
   return hints.deadline_cycles != 0 && end - ref_vtime > hints.deadline_cycles;
 }
 
 }  // namespace
 
-void context::distribute(const dispatch_group& g, const std::vector<job_id>& ids,
-                         batch_result&& r, telemetry::trace_op op) {
-  require_output_count(r.outputs.size(), ids.size(), "a dispatch");
+void context::distribute(const dispatch_group& host, const std::vector<member_slice>& slices,
+                         std::size_t total_jobs, batch_result&& r, telemetry::trace_op op) {
+  require_output_count(r.outputs.size(), total_jobs, "a dispatch");
   std::lock_guard<std::mutex> lk(mu_);
-  const u64 end = account_locked(g, r, op, ids.size());
-  const bool missed = past_deadline(g.hints, g.ref_vtime, end);
-  if (missed) {
-    m_.deadline_misses->add(ids.size());
-    if (recorder_) {
-      recorder_->record({.ts = end,
-                         .dur = 0,
-                         .a = ids.size(),
-                         .track = telemetry::kTrackScheduler,
-                         .arg = static_cast<telemetry::u32>(g.seq),
-                         .op = telemetry::trace_op::deadline_miss});
-    }
-  }
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    job_result res;
-    res.outputs.push_back(std::move(r.outputs[i]));
-    res.op_stats = r.stats;
-    res.wall_cycles = r.wall_cycles;
-    res.jobs_in_batch = ids.size();
-    res.stream = g.hints.stream;
-    res.finish_cycles = end;
-    res.deadline_missed = missed;
-    done_.emplace(ids[i], std::move(res));
-    in_flight_.erase(ids[i]);
-  }
-  m_.jobs_completed->add(ids.size());
-  cv_.notify_all();
-}
-
-void context::distribute_merged(const dispatch_group& host,
-                                const std::vector<member_slice>& slices, std::size_t total_jobs,
-                                batch_result&& r, telemetry::trace_op op) {
-  require_output_count(r.outputs.size(), total_jobs, "a merged dispatch");
-  std::lock_guard<std::mutex> lk(mu_);
-  // One accounting event on the claimed union: every member's jobs finish
-  // at the merged batch's end, but each member's deadline is judged from
-  // its *own* flush frontier — per-tenant accounting survives the merge.
+  // One accounting event on the claimed banks: every member's jobs finish
+  // at the batch's end, but each member's deadline is judged from its
+  // *own* flush frontier — per-tenant accounting survives a merge.
   const u64 end = account_locked(host, r, op, total_jobs);
+  std::size_t offset = 0;
   for (const auto& s : slices) {
     const bool missed = past_deadline(s.g->hints, s.g->ref_vtime, end);
     if (missed) {
-      m_.deadline_misses->add(s.ids->size());
+      m_.deadline_misses->add(s.ids.size());
       if (recorder_) {
         recorder_->record({.ts = end,
                            .dur = 0,
-                           .a = s.ids->size(),
+                           .a = s.ids.size(),
                            .track = telemetry::kTrackScheduler,
                            .arg = static_cast<telemetry::u32>(s.g->seq),
                            .op = telemetry::trace_op::deadline_miss});
       }
     }
-    for (std::size_t i = 0; i < s.ids->size(); ++i) {
+    for (const job_id id : s.ids) {
       job_result res;
-      res.outputs.push_back(std::move(r.outputs[s.offset + i]));
+      res.outputs.push_back(std::move(r.outputs[offset++]));
       res.op_stats = r.stats;
       res.wall_cycles = r.wall_cycles;
       res.jobs_in_batch = total_jobs;
       res.stream = s.g->hints.stream;
       res.finish_cycles = end;
       res.deadline_missed = missed;
-      done_.emplace((*s.ids)[i], std::move(res));
-      in_flight_.erase((*s.ids)[i]);
+      done_.emplace(id, std::move(res));
+      in_flight_.erase(id);
     }
-    m_.jobs_completed->add(s.ids->size());
+    m_.jobs_completed->add(s.ids.size());
   }
   cv_.notify_all();
 }
@@ -1051,134 +881,6 @@ void context::fail_group(const dispatch_group& g, const std::vector<job_id>& ids
     in_flight_.erase(id);
   }
   m_.jobs_failed->add(ids.size());
-  cv_.notify_all();
-}
-
-void context::dispatch_ntt_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                                 std::vector<ntt_job>&& jobs, transform_dir dir) {
-  std::vector<std::vector<u64>> polys;
-  polys.reserve(jobs.size());
-  for (auto& j : jobs) polys.push_back(std::move(j.coeffs));
-  distribute(g, ids, backend_->run_ntt(polys, dir, g.hints),
-             dir == transform_dir::forward ? telemetry::trace_op::ntt_forward
-                                           : telemetry::trace_op::ntt_inverse);
-}
-
-void context::dispatch_polymul_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                                     std::vector<polymul_job>&& jobs) {
-  std::vector<core::polymul_pair> pairs;
-  pairs.reserve(jobs.size());
-  for (auto& j : jobs) pairs.push_back({std::move(j.a), std::move(j.b)});
-  distribute(g, ids, backend_->run_polymul(pairs, g.hints), telemetry::trace_op::polymul);
-}
-
-void context::dispatch_rescale_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                                     std::vector<rns_rescale_job>&& jobs) {
-  distribute(g, ids, backend_->run_rescale(jobs, g.hints), telemetry::trace_op::rescale);
-}
-
-void context::dispatch_base_extend_group(const dispatch_group& g,
-                                         const std::vector<job_id>& ids,
-                                         std::vector<rns_base_extend_job>&& jobs) {
-  distribute(g, ids, backend_->run_base_extend(jobs, g.hints),
-             telemetry::trace_op::base_extend);
-}
-
-void context::run_rlwe_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                             std::vector<rlwe_encrypt_job>&& jobs) {
-  crypto::param_set ring;
-  ring.name = "runtime";
-  ring.n = opts_.params.n;
-  ring.q = opts_.params.q;
-  ring.min_tile_bits = opts_.params.k;
-  const std::size_t m = jobs.size();
-
-  // Each job's randomness comes from its own seeded stream in exactly the
-  // order the serial scheme draws it (keygen's a/s/e, then encrypt's
-  // r/e1/e2 — the ring products never touch the stream), so the staged
-  // flow below is bit-identical to running the scheme per job.
-  std::vector<crypto::rlwe_keygen_randomness> kg(m);
-  std::vector<crypto::rlwe_encrypt_randomness> en(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    common::xoshiro256ss rng(jobs[i].seed);
-    kg[i] = crypto::rlwe_sample_keygen(ring, jobs[i].eta, rng);
-    en[i] = crypto::rlwe_sample_encrypt(ring, jobs[i].eta, rng);
-  }
-
-  sram::op_stats stats;
-  u64 cycles = 0;
-  u64 last_end = 0;
-  auto batch_mul = [&](std::vector<core::polymul_pair>&& pairs) {
-    const std::size_t stage_jobs = pairs.size();
-    batch_result r = backend_->run_polymul(pairs, g.hints);
-    require_output_count(r.outputs.size(), stage_jobs, "an rlwe product stage");
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      last_end = account_locked(g, r, telemetry::trace_op::rlwe_stage, stage_jobs);
-    }
-    stats += r.stats;
-    cycles += r.wall_cycles;
-    return std::move(r.outputs);
-  };
-
-  // Stage 1 — keygen products a*s, one wide dispatch across all jobs.
-  std::vector<core::polymul_pair> pairs(m);
-  for (std::size_t i = 0; i < m; ++i) pairs[i] = {kg[i].a, kg[i].s};
-  auto as = batch_mul(std::move(pairs));
-  std::vector<crypto::rlwe_scheme::keypair> keys(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    keys[i] = crypto::rlwe_finish_keygen(ring, std::move(kg[i]), std::move(as[i]));
-  }
-
-  // Stage 2 — both encryption products a*r and b*r, batched pairwise.
-  pairs.assign(2 * m, core::polymul_pair{});
-  for (std::size_t i = 0; i < m; ++i) {
-    pairs[2 * i] = {keys[i].pk.a, en[i].r};
-    pairs[2 * i + 1] = {keys[i].pk.b, en[i].r};
-  }
-  auto prods = batch_mul(std::move(pairs));
-  std::vector<crypto::ciphertext> cts(m);
-  for (std::size_t i = 0; i < m; ++i) {
-    cts[i] = crypto::rlwe_finish_encrypt(ring, en[i], jobs[i].message,
-                                         std::move(prods[2 * i]), std::move(prods[2 * i + 1]));
-  }
-
-  // Stage 3 — decryption round-trip products u*s.
-  pairs.assign(m, core::polymul_pair{});
-  for (std::size_t i = 0; i < m; ++i) pairs[i] = {cts[i].u, keys[i].sk.s};
-  auto us = batch_mul(std::move(pairs));
-
-  std::lock_guard<std::mutex> lk(mu_);
-  const bool missed = past_deadline(g.hints, g.ref_vtime, last_end);
-  if (missed) {
-    m_.deadline_misses->add(m);
-    if (recorder_) {
-      recorder_->record({.ts = last_end,
-                         .dur = 0,
-                         .a = m,
-                         .track = telemetry::kTrackScheduler,
-                         .arg = static_cast<telemetry::u32>(g.seq),
-                         .op = telemetry::trace_op::deadline_miss});
-    }
-  }
-  for (std::size_t i = 0; i < m; ++i) {
-    auto decrypted = crypto::rlwe_decrypt_from_product(ring, cts[i], us[i]);
-    job_result res;
-    res.outputs.reserve(3);
-    res.outputs.push_back(std::move(cts[i].u));
-    res.outputs.push_back(std::move(cts[i].v));
-    res.outputs.push_back(std::move(decrypted));
-    res.op_stats = stats;
-    res.op_stats.cycles = cycles;  // the three product stages run back-to-back
-    res.wall_cycles = cycles;
-    res.jobs_in_batch = m;
-    res.stream = g.hints.stream;
-    res.finish_cycles = last_end;
-    res.deadline_missed = missed;
-    done_.emplace(ids[i], std::move(res));
-    in_flight_.erase(ids[i]);
-  }
-  m_.jobs_completed->add(m);
   cv_.notify_all();
 }
 

@@ -20,10 +20,9 @@
 // enqueues; nothing executes until a flush (or a wait).  The deferral is
 // the batching opportunity: at flush time a stream's pending set is
 // partitioned by job kind — forward transforms with forward transforms,
-// ring products with ring products, R-LWE flows staged together — and the
-// partitions become one *dispatch group* carrying the stream's
-// dispatch_hints (stream id, priority, deadline, bank subset, chunk
-// budget).
+// ring products with ring products — and the partitions become one
+// *dispatch group* carrying the stream's dispatch_hints (stream id,
+// priority, deadline, bank subset, chunk budget).
 //
 // Scheduling is the scheduler module's job (src/runtime/scheduler.h):
 // group ordering (priority / EDF + aging behind one comparator), bank
@@ -50,8 +49,8 @@
 //
 // Cross-stream batching (runtime_options::merge_streams, default off):
 // when the scheduler picks a runnable group it absorbs merge-compatible
-// ready groups — same ring modulus, no rlwe jobs, streams that did not opt
-// out (stream_options::no_merge), banks disjoint-or-shareable — and the
+// ready groups — same ring modulus, streams that did not opt out
+// (stream_options::no_merge), banks disjoint-or-shareable — and the
 // context runs one dispatch per job kind over every member's jobs,
 // distributing each member's outputs back to its own stream with that
 // member's deadline accounting.  Outputs are bit-identical to unmerged
@@ -96,8 +95,9 @@
 
 namespace bpntt::runtime {
 
-using job = std::variant<ntt_job, polymul_job, rlwe_encrypt_job, rns_rescale_job,
-                         rns_base_extend_job>;
+// Every job kind the runtime executes — the one list the service layer
+// carries through its submission ring as well.
+using job = std::variant<ntt_job, polymul_job, rns_rescale_job, rns_base_extend_job>;
 
 // Cumulative scheduling counters across the context's lifetime.  A plain
 // value snapshot — the live instruments behind every field are registry
@@ -255,6 +255,10 @@ class context {
   // validation as stream() with an explicit ring_q.
   [[nodiscard]] runtime::stream rns_stream(u64 prime);
 
+  // A handle on the default stream (id 0), the lane the legacy submit()
+  // surface enqueues on.  It owns every bank and cannot be closed.
+  [[nodiscard]] runtime::stream default_stream() noexcept { return runtime::stream(this, 0); }
+
   // Fan one decomposed big-modulus ring product out as one polymul job per
   // limb, each on its limb's dedicated stream (rns_stream).  Validates the
   // chain (>= 1 distinct odd primes, per-limb residues canonical) and
@@ -268,7 +272,6 @@ class context {
   // backend capabilities cannot execute.
   job_id submit(ntt_job j);
   job_id submit(polymul_job j);
-  job_id submit(rlwe_encrypt_job j);
 
   // Flush every stream: each non-empty queue becomes one dispatch group
   // handed to the scheduler; returns without blocking.
@@ -303,12 +306,12 @@ class context {
     std::vector<std::pair<job_id, job>> queue;
   };
 
-  // One merged member's share of a concatenated dispatch: the member group
-  // (hints + ref_vtime for distribution) and its contiguous output range.
+  // One member group's share of a dispatch (the host alone, or one member
+  // of a merged group): the group (hints + ref_vtime for distribution) and
+  // the ids of its jobs, whose outputs are contiguous in the dispatch.
   struct member_slice {
     const dispatch_group* g = nullptr;
-    const std::vector<job_id>* ids = nullptr;
-    std::size_t offset = 0;
+    std::vector<job_id> ids;
   };
 
   void finish_construction();
@@ -316,7 +319,6 @@ class context {
   // Stream plumbing (called by the handle).
   job_id submit_ntt(unsigned sid, ntt_job j);
   job_id submit_polymul(unsigned sid, polymul_job j);
-  job_id submit_rlwe(unsigned sid, rlwe_encrypt_job j);
   job_id submit_rescale(unsigned sid, rns_rescale_job j);
   job_id submit_base_extend(unsigned sid, rns_base_extend_job j);
   void flush_stream(unsigned sid);
@@ -339,14 +341,17 @@ class context {
   // The stream a still-queued job sits on, if any.
   [[nodiscard]] std::optional<unsigned> queued_on(job_id id) const noexcept;
 
+  // Run one claimed group: for each job kind in turn, one dispatch over
+  // the members' jobs (the host, then any absorbed groups).  A solo group
+  // with a chunk_budget dispatches in chunks and may yield between them.
   void run_group(const std::shared_ptr<dispatch_group>& g);
-  // Solo path: chunked per-kind dispatch with yield points between chunks.
-  // Returns true when the group yielded (banks released, remainder
-  // re-enqueued) — the caller must not release again.
-  bool run_solo_group(const std::shared_ptr<dispatch_group>& g);
-  // Merged path: one dispatch per job kind over every member's jobs,
-  // outputs distributed back per member.
-  void run_merged_group(const std::shared_ptr<dispatch_group>& g);
+  // One job kind of run_group.  `run` turns the taken jobs into a backend
+  // dispatch.  Returns true when the group yielded (banks released,
+  // remainder re-enqueued) — the caller must not release again.
+  template <class Job, class Run>
+  bool run_kind(const std::shared_ptr<dispatch_group>& g,
+                const std::vector<dispatch_group*>& members, const dispatch_hints& hints,
+                kind_batch<Job> flush_plan::*kind, telemetry::trace_op op, Run&& run);
 
   // Advance the group's bank frontiers by one batch (scheduler::account)
   // and fold the batch into the cumulative counters; returns the batch's
@@ -356,24 +361,12 @@ class context {
   // construction.  Requires mu_.
   u64 account_locked(const dispatch_group& g, const batch_result& r, telemetry::trace_op op,
                      std::size_t jobs);
-  void distribute(const dispatch_group& g, const std::vector<job_id>& ids, batch_result&& r,
-                  telemetry::trace_op op);
-  // Merged distribution: account once on the claimed union, then route each
+  // Account one dispatch once on the host's claimed banks, then route each
   // member's slice of the outputs with that member's deadline accounting.
-  void distribute_merged(const dispatch_group& host, const std::vector<member_slice>& slices,
-                         std::size_t total_jobs, batch_result&& r, telemetry::trace_op op);
+  void distribute(const dispatch_group& host, const std::vector<member_slice>& slices,
+                  std::size_t total_jobs, batch_result&& r, telemetry::trace_op op);
   void fail_group(const dispatch_group& g, const std::vector<job_id>& ids,
                   const std::string& what);
-  void dispatch_ntt_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                          std::vector<ntt_job>&& jobs, transform_dir dir);
-  void dispatch_polymul_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                              std::vector<polymul_job>&& jobs);
-  void dispatch_rescale_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                              std::vector<rns_rescale_job>&& jobs);
-  void dispatch_base_extend_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                                  std::vector<rns_base_extend_job>&& jobs);
-  void run_rlwe_group(const dispatch_group& g, const std::vector<job_id>& ids,
-                      std::vector<rlwe_encrypt_job>&& jobs);
 
   runtime_options opts_;
   std::unique_ptr<backend> backend_;

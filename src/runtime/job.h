@@ -1,12 +1,14 @@
 // Typed job model of the bpntt runtime — the unit of work a client submits
 // to a runtime::context.
 //
-// Three job kinds cover the workloads the paper measures: raw transforms
-// (the Table I microkernel), full negacyclic ring products (the polynomial
-// multiplication every lattice scheme spends its time in), and end-to-end
-// R-LWE encryption (the edge-device motivation of §I).  Each submit()
-// returns a job_id; wait() returns the matching job_result regardless of
-// which backend executed it.
+// Two job kinds cover the workloads the paper measures: raw transforms
+// (the Table I microkernel) and full negacyclic ring products (the
+// polynomial multiplication every lattice scheme spends its time in); the
+// RNS kinds below carry a big-modulus workload's per-limb corrections.
+// Protocols built on them — R-LWE encryption (crypto/rlwe.h), the leveled
+// RNS-RLWE scheme (crypto/rns_rlwe/) — are clients that submit these jobs.
+// Each submit() returns a job_id; wait() returns the matching job_result
+// regardless of which backend executed it.
 #pragma once
 
 #include <cstdint>
@@ -103,25 +105,13 @@ struct rns_base_extend_job {
   std::vector<std::vector<u64>> residues; // residues[i]: n residues mod source_primes[i]
 };
 
-// End-to-end R-LWE public-key encryption of a {0,1} message polynomial.
-// Key generation, encryption and a decryption round-trip all run with ring
-// products routed through the executing backend.  Randomness is derived
-// deterministically from `seed`, so two backends given the same job produce
-// bit-identical ciphertexts — the property the differential tests pin down.
-struct rlwe_encrypt_job {
-  std::vector<u64> message;
-  unsigned eta = 2;
-  u64 seed = 1;
-};
-
 // Terminal state of a job.  A backend exception fails exactly the jobs of
 // the dispatch it occurred in; sibling dispatches of the same flush still
 // complete with `ok` results.
 enum class job_status { ok, failed };
 
-// Unified result: `outputs` holds the job's polynomials (one for ntt_job and
-// polymul_job; ciphertext u, v and the decrypted round-trip for
-// rlwe_encrypt_job).  op_stats and wall_cycles describe the scheduled batch
+// Unified result: `outputs` holds the job's polynomial (one per job, of
+// every kind).  op_stats and wall_cycles describe the scheduled batch
 // the job rode in — divide by jobs_in_batch for an amortized per-job view.
 // When status == failed, `error` carries the backend's message and
 // `outputs` is empty.

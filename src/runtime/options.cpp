@@ -3,6 +3,8 @@
 #include <stdexcept>
 #include <string>
 
+#include "crypto/params.h"
+
 namespace bpntt::runtime {
 
 const char* to_string(backend_kind k) noexcept {

@@ -12,7 +12,11 @@
 #pragma once
 
 #include "bpntt/bank.h"
-#include "crypto/params.h"
+
+namespace bpntt::crypto {
+struct param_set;
+struct rns_param_set;
+}  // namespace bpntt::crypto
 
 namespace bpntt::runtime {
 
@@ -110,8 +114,8 @@ struct runtime_options {
   unsigned aging_limit = 0;
 
   // Cross-stream batching: when the scheduler picks a runnable group it
-  // absorbs merge-compatible ready groups (same ring modulus, no rlwe
-  // jobs, streams that did not opt out, disjoint-or-shareable banks) into
+  // absorbs merge-compatible ready groups (same ring modulus, streams that
+  // did not opt out, disjoint-or-shareable banks) into
   // one dispatch, distributing results back per stream.  Outputs are
   // bit-identical either way; off by default so dispatch counts and
   // ordering match the pre-batching scheduler exactly.

@@ -62,10 +62,10 @@ void scheduler::absorb_compatible(const std::shared_ptr<dispatch_group>& host,
   if (!cfg_.merge_streams || !host->mergeable) return;
   for (auto it = ready_.begin(); it != ready_.end();) {
     auto& h = *it;
-    // Merge eligibility: both sides opted in (mergeable excludes rlwe
-    // groups and opted-out streams), same ring modulus (native or the same
-    // RNS limb prime), and every bank of the candidate either already in
-    // the host's claim or currently unclaimed — disjoint-or-shareable.
+    // Merge eligibility: neither stream opted out, same ring modulus
+    // (native or the same RNS limb prime), and every bank of the candidate
+    // either already in the host's claim or currently unclaimed —
+    // disjoint-or-shareable.
     bool compatible = h->mergeable && h->hints.ring_q == host->hints.ring_q;
     if (compatible) {
       for (const unsigned r : h->resources) {

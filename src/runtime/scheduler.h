@@ -29,9 +29,9 @@
 // Cross-stream batching: when take_runnable() picks a runnable group and
 // merging is enabled, it scans the remaining ready queue for *merge-
 // compatible* groups — same ring modulus (native or the same RNS limb
-// prime), both merge-eligible (no rlwe jobs, neither stream opted out),
-// and a bank set that is disjoint-or-shareable (every bank either already
-// in the host's claim or currently unclaimed).  Compatible groups are
+// prime), neither stream opted out, and a bank set that is disjoint-or-
+// shareable (every bank either already in the host's claim or currently
+// unclaimed).  Every job kind is merge-eligible.  Compatible groups are
 // absorbed into the host's `absorbed` list and the host claims the union:
 // one backend dispatch per job kind executes every member's jobs, and the
 // context distributes each member's slice of the outputs back to its
@@ -67,22 +67,33 @@ class trace_recorder;
 
 namespace bpntt::runtime {
 
+// One job kind's share of a flush: ids and jobs, index-aligned.
+template <class Job>
+struct kind_batch {
+  std::vector<job_id> ids;
+  std::vector<Job> jobs;
+};
+
 // One stream flush, partitioned by job kind.  Jobs of one stream are
 // independent, so the pending set splits into one backend dispatch per kind
 // (and direction) — the widest batches the backend can shard over banks,
 // lanes and waves.  Results are keyed by job_id, so regrouping never
 // misroutes an output.
 struct flush_plan {
-  std::vector<job_id> fwd_ids, inv_ids, mul_ids, rlwe_ids, rescale_ids, bext_ids;
-  std::vector<ntt_job> fwd, inv;
-  std::vector<polymul_job> muls;
-  std::vector<rlwe_encrypt_job> rlwes;
-  std::vector<rns_rescale_job> rescales;
-  std::vector<rns_base_extend_job> bexts;
+  kind_batch<ntt_job> fwd, inv;
+  kind_batch<polymul_job> muls;
+  kind_batch<rns_rescale_job> rescales;
+  kind_batch<rns_base_extend_job> bexts;
 
+  // Call f(ids) for every kind's id list, in dispatch order.
+  template <class F>
+  void for_each_ids(F&& f) const {
+    for (const auto* ids : {&fwd.ids, &inv.ids, &muls.ids, &rescales.ids, &bexts.ids}) f(*ids);
+  }
   [[nodiscard]] bool empty() const noexcept {
-    return fwd_ids.empty() && inv_ids.empty() && mul_ids.empty() && rlwe_ids.empty() &&
-           rescale_ids.empty() && bext_ids.empty();
+    bool none = true;
+    for_each_ids([&](const std::vector<job_id>& ids) { none = none && ids.empty(); });
+    return none;
   }
 };
 
@@ -100,7 +111,7 @@ struct dispatch_group {
   u64 deadline_abs = no_deadline;
   unsigned waits = 0;    // scheduling rounds this group was passed over
   bool aged = false;     // waits hit aging_limit: promoted ahead of non-aged
-  bool mergeable = true; // stream did not opt out and the plan carries no rlwe jobs
+  bool mergeable = true; // the stream did not opt out of cross-stream batching
   // Residency affinity hint: banks currently holding this group's limb
   // operands (residency_manager::banks_holding at build time).  Purely
   // advisory — claiming is unchanged; the scheduler counts a

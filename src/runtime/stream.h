@@ -49,8 +49,7 @@ struct stream_options {
   // and tile width stay as configured.  This is how an RNS limb stream
   // carries its residue channel: context::stream() validates the modulus
   // (odd prime, full negacyclic support at n, inside the backend's
-  // envelope) and submissions validate coefficients against it.  R-LWE
-  // jobs are ring-specific and are rejected on overridden streams.
+  // envelope) and submissions validate coefficients against it.
   u64 ring_q = 0;
   // Opt this stream out of cross-stream batching
   // (runtime_options::merge_streams): its groups are never absorbed into
@@ -61,8 +60,8 @@ struct stream_options {
   // Preemptive-yield budget: dispatch this stream's groups in chunks of at
   // most this many jobs, offering the banks to any earlier-ordered group
   // (under the configured policy) between chunks.  0 = unbounded — whole
-  // per-kind dispatches, the legacy behaviour.  R-LWE stages always
-  // dispatch whole.
+  // per-kind dispatches, the legacy behaviour.  A group merged with other
+  // streams' groups (runtime_options::merge_streams) runs whole.
   u64 chunk_budget = 0;
 };
 
@@ -81,7 +80,6 @@ class stream {
   // stream.
   job_id submit(ntt_job j);
   job_id submit(polymul_job j);
-  job_id submit(rlwe_encrypt_job j);
   job_id submit(rns_rescale_job j);
   job_id submit(rns_base_extend_job j);
 
@@ -97,6 +95,9 @@ class stream {
   void close();
 
   [[nodiscard]] unsigned id() const noexcept { return id_; }
+  // The ring modulus override this stream was opened with (0 = the
+  // context ring).
+  [[nodiscard]] u64 ring_q() const;
   // Jobs enqueued on this stream and not yet flushed.
   [[nodiscard]] std::size_t pending() const;
   // The bank subset the scheduler reserved for this stream (empty on

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <variant>
 
 #include "telemetry/trace.h"
 
@@ -48,23 +49,19 @@ bool ticket::ready() const noexcept {
 
 ticket session::submit(runtime::ntt_job j) {
   if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
+  return svc_->admit(id_, runtime::job(std::move(j)));
 }
 ticket session::submit(runtime::polymul_job j) {
   if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
-}
-ticket session::submit(runtime::rlwe_encrypt_job j) {
-  if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
+  return svc_->admit(id_, runtime::job(std::move(j)));
 }
 ticket session::submit(runtime::rns_rescale_job j) {
   if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
+  return svc_->admit(id_, runtime::job(std::move(j)));
 }
 ticket session::submit(runtime::rns_base_extend_job j) {
   if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
-  return svc_->admit(id_, service::service_job(std::move(j)));
+  return svc_->admit(id_, runtime::job(std::move(j)));
 }
 void session::close() {
   if (svc_ == nullptr) throw std::logic_error("service: session handle is not bound");
@@ -164,7 +161,7 @@ void service::close_session(unsigned sid) {
 
 // ---- admission (client threads, lock-free) ---------------------------------
 
-ticket service::admit(unsigned sid, service_job j) {
+ticket service::admit(unsigned sid, runtime::job j) {
   auto sess = session_of(sid);
   sess->submitted.fetch_add(1, std::memory_order_relaxed);
   m_.submitted->add();
@@ -282,10 +279,10 @@ bool service::dispatch(submission&& s, std::map<runtime::job_id, inflight_rec>& 
     id = std::visit([&](auto&& j) { return sess->stream.submit(std::move(j)); },
                     std::move(s.job));
   } catch (const std::exception& e) {
-    // Deep validation failed (bad coefficients, capability mismatch, an
-    // R-LWE job on a limb ring...): the admission already happened, so the
-    // rejection is delivered as a failed result, not an exception on the
-    // submitting thread.
+    // Deep validation failed (bad coefficients, capability mismatch, a
+    // rescale naming another limb's prime...): the admission already
+    // happened, so the rejection is delivered as a failed result, not an
+    // exception on the submitting thread.
     sess->queued.fetch_sub(1, std::memory_order_acq_rel);
     runtime::job_result r;
     r.status = runtime::job_status::failed;

@@ -45,7 +45,6 @@
 #include <stdexcept>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "runtime/context.h"
@@ -190,7 +189,6 @@ class session {
   // failed result carrying the runtime's message).
   ticket submit(runtime::ntt_job j);
   ticket submit(runtime::polymul_job j);
-  ticket submit(runtime::rlwe_encrypt_job j);
   // The RNS limb-tenant jobs (ring_q sessions): a modulus-switch
   // correction and a base-extension lift on the tenant's limb stream —
   // what a leveled RNS-RLWE client's relinearization traffic looks like.
@@ -260,16 +258,12 @@ class service {
  private:
   friend class session;
 
-  using service_job =
-      std::variant<runtime::ntt_job, runtime::polymul_job, runtime::rlwe_encrypt_job,
-                   runtime::rns_rescale_job, runtime::rns_base_extend_job>;
-
   struct session_state;
 
   struct submission {
     std::shared_ptr<session_state> sess;
     std::shared_ptr<ticket::state> st;
-    service_job job;
+    runtime::job job;
     std::chrono::steady_clock::time_point t_submit;
   };
 
@@ -310,7 +304,7 @@ class service {
     runtime::stream stream;
   };
 
-  ticket admit(unsigned sid, service_job j);
+  ticket admit(unsigned sid, runtime::job j);
   void register_metrics();
   [[nodiscard]] std::shared_ptr<session_state> session_of(unsigned sid) const;
   void close_session(unsigned sid);

@@ -59,7 +59,6 @@ enum class trace_op : std::uint8_t {
   ntt_forward = 0,
   ntt_inverse,
   polymul,
-  rlwe_stage,
   rescale,
   base_extend,
   // Scheduler lifecycle instants (track = kTrackScheduler).

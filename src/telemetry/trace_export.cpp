@@ -132,7 +132,6 @@ void write_chrome_trace(std::ostream& os, const std::vector<trace_event>& events
       case trace_op::ntt_forward:
       case trace_op::ntt_inverse:
       case trace_op::polymul:
-      case trace_op::rlwe_stage:
       case trace_op::rescale:
       case trace_op::base_extend: {
         // A dispatch span on its bank row.

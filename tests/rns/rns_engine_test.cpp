@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "runtime/context.h"
 
 namespace bpntt::rns {
@@ -260,9 +261,10 @@ TEST(RnsSubmission, SamePrimeOverrideOnIncompleteRingStillRetargets) {
 TEST(RnsSubmission, RlweJobsRejectedOnLimbStreams) {
   runtime::context ctx(small_options(backend_kind::sram, 3137));
   auto limb = ctx.rns_stream(2113);
-  runtime::rlwe_encrypt_job j;
-  j.message.assign(kOrder, 0);
-  EXPECT_THROW((void)limb.submit(std::move(j)), std::invalid_argument);
+  // R-LWE is ring-specific: its products must not run at a limb modulus,
+  // so the stream adapter refuses the limb stream before submitting.
+  EXPECT_THROW((void)crypto::stream_batch_mul(ctx, limb), std::invalid_argument);
+  EXPECT_EQ(ctx.stats().jobs_submitted, 0u);
 }
 
 TEST(RnsSubmission, LimbCoefficientsValidateAgainstTheLimbModulus) {

@@ -6,6 +6,7 @@
 #include <string>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "nttmath/ntt.h"
 #include "nttmath/poly.h"
 
@@ -26,6 +27,13 @@ std::vector<u64> random_poly(u64 n, u64 q, common::xoshiro256ss& rng) {
   std::vector<u64> p(n);
   for (auto& c : p) c = rng.below(q);
   return p;
+}
+
+// R-LWE through the crypto client, its ring products on the default stream.
+std::vector<crypto::rlwe_result> encrypt_on(context& ctx,
+                                            const std::vector<crypto::rlwe_request>& requests) {
+  return crypto::rlwe_encrypt_batch(crypto::runtime_ring(ctx), requests,
+                                    crypto::stream_batch_mul(ctx, ctx.default_stream()));
 }
 
 TEST(RuntimeContext, SubmitWaitRoundTripsEveryJob) {
@@ -128,18 +136,18 @@ TEST(RuntimeContext, RlweJobDecryptsAndIsSeedDeterministic) {
   std::vector<u64> message(p.n);
   for (auto& m : message) m = rng.below(2);
 
-  const auto r1 = ctx.wait(ctx.submit(rlwe_encrypt_job{.message = message, .seed = 77}));
-  ASSERT_EQ(r1.outputs.size(), 3u);
-  EXPECT_EQ(r1.outputs[2], message);  // decrypt round-trip
-  EXPECT_GT(r1.wall_cycles, 0u);
+  const auto r1 = encrypt_on(ctx, {{.message = message, .seed = 77}});
+  ASSERT_EQ(r1.size(), 1u);
+  EXPECT_EQ(r1[0].decrypted, message);  // decrypt round-trip
+  EXPECT_GT(ctx.stats().wall_cycles, 0u);
 
   // Same seed, same backend: bit-identical ciphertext.  Different seed:
   // fresh randomness.
-  const auto r2 = ctx.wait(ctx.submit(rlwe_encrypt_job{.message = message, .seed = 77}));
-  EXPECT_EQ(r1.outputs[0], r2.outputs[0]);
-  EXPECT_EQ(r1.outputs[1], r2.outputs[1]);
-  const auto r3 = ctx.wait(ctx.submit(rlwe_encrypt_job{.message = message, .seed = 78}));
-  EXPECT_NE(r1.outputs[0], r3.outputs[0]);
+  const auto r2 = encrypt_on(ctx, {{.message = message, .seed = 77}});
+  EXPECT_EQ(r1[0].u, r2[0].u);
+  EXPECT_EQ(r1[0].v, r2[0].v);
+  const auto r3 = encrypt_on(ctx, {{.message = message, .seed = 78}});
+  EXPECT_NE(r1[0].u, r3[0].u);
 }
 
 TEST(RuntimeContext, SubmitValidatesJobsAgainstRingAndBackend) {
@@ -155,12 +163,14 @@ TEST(RuntimeContext, SubmitValidatesJobsAgainstRingAndBackend) {
   EXPECT_THROW((void)tight.submit(polymul_job{.a = random_poly(32, 193, rng),
                                               .b = random_poly(32, 193, rng)}),
                std::invalid_argument);
-  // R-LWE needs a full negacyclic NTT ring.
+  // R-LWE needs a full negacyclic NTT ring: the stream adapter refuses
+  // before anything is submitted.
   context kyber(runtime_options()
                     .with_ring(256, 3329, 13, /*incomplete=*/true)
                     .with_backend(backend_kind::reference));
-  EXPECT_THROW((void)kyber.submit(rlwe_encrypt_job{.message = std::vector<u64>(256, 0)}),
+  EXPECT_THROW((void)crypto::stream_batch_mul(kyber, kyber.default_stream()),
                std::invalid_argument);
+  EXPECT_EQ(kyber.stats().jobs_submitted, 0u);
 }
 
 TEST(RuntimeContext, MultiBankShardingKeepsJobOrder) {
@@ -378,35 +388,45 @@ TEST(RuntimeContext, OversizedPoolIsRejectedBeforeAnyThreadSpawns) {
 TEST(RuntimeContext, RlweJobsShareStagedProductBatches) {
   // Three concurrent R-LWE flows: the keygen products run as one dispatch,
   // the encrypt products as one, the decrypt products as one — 3 batches,
-  // not 4 per job — and outputs stay bit-identical to isolated runs.
+  // not 4 per flow — and outputs stay bit-identical to isolated runs.
   context batched(small_sram());
   const auto& p = batched.options().params;
   common::xoshiro256ss rng(16);
-  std::vector<std::vector<u64>> messages;
-  std::vector<job_id> ids;
+  std::vector<crypto::rlwe_request> requests;
   for (int t = 0; t < 3; ++t) {
     std::vector<u64> msg(p.n);
     for (auto& m : msg) m = rng.below(2);
-    messages.push_back(msg);
-    ids.push_back(batched.submit(
-        rlwe_encrypt_job{.message = msg, .seed = 400 + static_cast<u64>(t)}));
+    requests.push_back({.message = msg, .seed = 400 + static_cast<u64>(t)});
   }
-  batched.sync();
+  const auto got = encrypt_on(batched, requests);
+  // 4 ring products per flow (a*s, a*r, b*r, u*s) ride 3 staged batches.
   EXPECT_EQ(batched.stats().batches, 3u);
-  EXPECT_EQ(batched.stats().jobs_completed, 3u);
+  EXPECT_EQ(batched.stats().jobs_completed, 4u * requests.size());
 
-  for (std::size_t t = 0; t < ids.size(); ++t) {
-    const auto got = batched.wait(ids[t]);
-    ASSERT_EQ(got.outputs.size(), 3u);
-    EXPECT_EQ(got.outputs[2], messages[t]) << "round-trip, job " << t;
-    EXPECT_EQ(got.jobs_in_batch, 3u);
-    // One job per context: the serial path the staged flow must match.
+  ASSERT_EQ(got.size(), requests.size());
+  for (std::size_t t = 0; t < got.size(); ++t) {
+    EXPECT_EQ(got[t].decrypted, requests[t].message) << "round-trip, flow " << t;
+    // One flow per context: the serial path the staged flow must match.
     context solo(small_sram());
-    const auto want = solo.wait(solo.submit(
-        rlwe_encrypt_job{.message = messages[t], .seed = 400 + static_cast<u64>(t)}));
-    EXPECT_EQ(got.outputs[0], want.outputs[0]) << "ciphertext u, job " << t;
-    EXPECT_EQ(got.outputs[1], want.outputs[1]) << "ciphertext v, job " << t;
+    const auto want = encrypt_on(solo, {requests[t]});
+    EXPECT_EQ(got[t].u, want[0].u) << "ciphertext u, flow " << t;
+    EXPECT_EQ(got[t].v, want[0].v) << "ciphertext v, flow " << t;
   }
+}
+
+TEST(RuntimeContext, RlweRejectsNonBinaryMessagesBeforeSubmitting) {
+  // Unchecked, a message coefficient outside {0, 1} would encode as 1 and
+  // round-trip as decrypted[i] == 1 with no error.  The client rejects it
+  // before any product reaches the runtime.
+  context ctx(small_sram());
+  std::vector<u64> message(ctx.options().params.n, 0);
+  message[5] = 2;
+  EXPECT_THROW((void)encrypt_on(ctx, {{.message = message, .seed = 77}}),
+               std::invalid_argument);
+  // A wrong-length message is rejected the same way.
+  EXPECT_THROW((void)encrypt_on(ctx, {{.message = std::vector<u64>(16, 0), .seed = 77}}),
+               std::invalid_argument);
+  EXPECT_EQ(ctx.stats().jobs_submitted, 0u);
 }
 
 }  // namespace

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "runtime/context.h"
 
 namespace bpntt::runtime {
@@ -194,16 +195,51 @@ TEST(CrossBackendDifferential, RlweCiphertextsAgreeAcrossBackends) {
   std::vector<u64> message(64);
   for (auto& m : message) m = rng.below(2);
 
-  std::vector<job_result> results;
+  std::vector<crypto::rlwe_result> results;
   for (const auto kind : {backend_kind::sram, backend_kind::cpu, backend_kind::reference}) {
     context ctx(runtime_options(opts).with_backend(kind));
-    results.push_back(ctx.wait(ctx.submit(rlwe_encrypt_job{.message = message, .seed = 55})));
+    const std::vector<crypto::rlwe_request> requests{{.message = message, .seed = 55}};
+    results.push_back(crypto::rlwe_encrypt_batch(
+        crypto::runtime_ring(ctx), requests,
+        crypto::stream_batch_mul(ctx, ctx.default_stream()))[0]);
   }
   for (std::size_t b = 1; b < results.size(); ++b) {
-    EXPECT_EQ(results[b].outputs[0], results[0].outputs[0]) << "ciphertext u, backend " << b;
-    EXPECT_EQ(results[b].outputs[1], results[0].outputs[1]) << "ciphertext v, backend " << b;
+    EXPECT_EQ(results[b].u, results[0].u) << "ciphertext u, backend " << b;
+    EXPECT_EQ(results[b].v, results[0].v) << "ciphertext v, backend " << b;
   }
-  for (const auto& r : results) EXPECT_EQ(r.outputs[2], message);
+  for (const auto& r : results) EXPECT_EQ(r.decrypted, message);
+}
+
+TEST(CrossBackendDifferential, RlweBatchMatchesTheSerialSchemeOnEveryBackend) {
+  // The oracle: the batched client on each backend against the serial
+  // rlwe_scheme with its golden NTT product, request by request, drawing
+  // from the same seeded stream — keys, ciphertexts and round-trips alike.
+  const auto opts = runtime_options().with_ring(64, 7681, 14).with_array(128, 256);
+  common::xoshiro256ss rng(302);
+  std::vector<crypto::rlwe_request> requests;
+  for (u64 seed = 60; seed < 63; ++seed) {
+    std::vector<u64> message(64);
+    for (auto& m : message) m = rng.below(2);
+    requests.push_back({.message = message, .eta = 2, .seed = seed});
+  }
+
+  for (const auto kind : {backend_kind::sram, backend_kind::cpu, backend_kind::reference}) {
+    context ctx(runtime_options(opts).with_backend(kind));
+    const auto ring = crypto::runtime_ring(ctx);
+    const auto got = crypto::rlwe_encrypt_batch(
+        ring, requests, crypto::stream_batch_mul(ctx, ctx.default_stream()));
+    ASSERT_EQ(got.size(), requests.size());
+    const crypto::rlwe_scheme serial(ring, 2);
+    for (std::size_t i = 0; i < requests.size(); ++i) {
+      common::xoshiro256ss stream(requests[i].seed);
+      const auto keys = serial.keygen(stream);
+      const auto ct = serial.encrypt(keys.pk, requests[i].message, stream);
+      EXPECT_EQ(got[i].u, ct.u) << to_string(kind) << ", request " << i;
+      EXPECT_EQ(got[i].v, ct.v) << to_string(kind) << ", request " << i;
+      EXPECT_EQ(got[i].decrypted, serial.decrypt(keys.sk, ct))
+          << to_string(kind) << ", request " << i;
+    }
+  }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/params.h"
+
 namespace bpntt::runtime {
 namespace {
 

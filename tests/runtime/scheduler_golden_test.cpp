@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "runtime/context.h"
 
 namespace bpntt::runtime {
@@ -30,37 +31,65 @@ std::vector<u64> random_poly(u64 n, u64 q, common::xoshiro256ss& rng) {
   return p;
 }
 
-// The legacy single-queue workload: mixed forward/inverse transforms, ring
-// products and an R-LWE flow through ctx.submit()/flush()/wait(), outputs
-// concatenated in submission order.  The same seed builds the same jobs in
-// every run.
+// The legacy single-queue workload: mixed forward/inverse transforms and
+// ring products through ctx.submit()/flush()/wait(), plus one R-LWE flow
+// per round whose ring products ride the same default stream through the
+// crypto client.  Outputs are concatenated in submission order (an R-LWE
+// flow contributes u, v and the decrypted round-trip).  The same seed
+// builds the same jobs in every run.
 std::vector<std::vector<u64>> run_legacy_workload(runtime_options opts) {
   context ctx(std::move(opts));
   common::xoshiro256ss rng(1234);
   std::vector<job_id> ids;
+  std::vector<crypto::rlwe_result> flows;
   for (int round = 0; round < 3; ++round) {
     ids.push_back(ctx.submit(ntt_job{.coeffs = random_poly(32, 193, rng)}));
     ids.push_back(ctx.submit(
         ntt_job{.dir = transform_dir::inverse, .coeffs = random_poly(32, 193, rng)}));
     ids.push_back(
         ctx.submit(polymul_job{random_poly(32, 193, rng), random_poly(32, 193, rng)}));
-    ids.push_back(ctx.submit(rlwe_encrypt_job{
-        .message = std::vector<u64>(32, static_cast<u64>(round & 1)),
-        .eta = 2,
-        .seed = static_cast<u64>(round + 1)}));
+    const std::vector<crypto::rlwe_request> flow{
+        {.message = std::vector<u64>(32, static_cast<u64>(round & 1)),
+         .eta = 2,
+         .seed = static_cast<u64>(round + 1)}};
+    flows.push_back(crypto::rlwe_encrypt_batch(
+        crypto::runtime_ring(ctx), flow,
+        crypto::stream_batch_mul(ctx, ctx.default_stream()))[0]);
     ctx.flush();
   }
   std::vector<std::vector<u64>> outputs;
-  for (const job_id id : ids) {
-    job_result r = ctx.wait(id);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    job_result r = ctx.wait(ids[i]);
     for (auto& o : r.outputs) outputs.push_back(std::move(o));
+    if (i % 3 == 2) {
+      auto& f = flows[i / 3];
+      for (auto* o : {&f.u, &f.v, &f.decrypted}) outputs.push_back(std::move(*o));
+    }
   }
   return outputs;
 }
 
+// FNV-1a over every coefficient, with a separator per polynomial.
+u64 digest(const std::vector<std::vector<u64>>& polys) {
+  u64 h = 1469598103934665603ULL;
+  const auto mix = [&](u64 v) {
+    h ^= v;
+    h *= 1099511628211ULL;
+  };
+  for (const auto& p : polys) {
+    for (const u64 c : p) mix(c);
+    mix(0xff);
+  }
+  return h;
+}
+
 TEST(SchedulerGolden, LegacyPathByteIdenticalAcrossBackendsAndPolicies) {
   const auto oracle = run_legacy_workload(golden_ring(backend_kind::reference));
-  ASSERT_FALSE(oracle.empty());
+  ASSERT_EQ(oracle.size(), 18u);
+  // The oracle is pinned too, by a digest of its 18 polynomials: a change
+  // to any transform, product or ciphertext fails here even when every
+  // backend changes alike.
+  EXPECT_EQ(digest(oracle), 0x897840ec73a3f967ULL);
 
   struct policy_case {
     const char* name;

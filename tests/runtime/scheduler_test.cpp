@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "runtime/context.h"
 #include "runtime/scheduler.h"
 
@@ -277,23 +278,55 @@ TEST(CrossStreamBatching, OptedOutStreamsNeverShareADispatch) {
   EXPECT_EQ(rec->dispatches().size(), 3u) << "the opted-out group keeps its own dispatch";
 }
 
-TEST(CrossStreamBatching, RlweGroupsAreNeverMergeEligible) {
-  // R-LWE plans run a staged multi-dispatch flow over shared intermediates;
-  // even with merging on they must neither absorb nor be absorbed.
-  auto opts = small_sram().with_threads(2);
-  opts.merge_streams = true;
-  context ctx(std::move(opts));
-  common::xoshiro256ss rng(94);
+TEST(CrossStreamBatching, RlweStageProductsMergeWithOtherStreams) {
+  // R-LWE is a client of ring products, so its stage products are plain
+  // polymul jobs: flushed together with another stream's products, they
+  // share one merged dispatch — and every output equals the unmerged run.
+  const auto run = [](bool merge_on) {
+    auto opts = small_sram().with_threads(2);
+    opts.merge_streams = merge_on;
+    context ctx(std::move(opts));
+    common::xoshiro256ss rng(94);
+    auto s1 = ctx.stream({});
+    auto s2 = ctx.stream({});
+    std::vector<job_id> ids;
+    for (int j = 0; j < 3; ++j) {
+      ids.push_back(
+          s2.submit(polymul_job{random_poly(32, 193, rng), random_poly(32, 193, rng)}));
+    }
+    // Stage products go to s1; ctx.flush() admits s1's and s2's groups
+    // before any scheduling decision, so the first stage can absorb s2.
+    const auto batch_mul = [&](std::vector<core::polymul_pair> pairs) {
+      std::vector<job_id> stage;
+      for (auto& pr : pairs) stage.push_back(s1.submit(polymul_job{pr.a, pr.b}));
+      ctx.flush();
+      std::vector<std::vector<u64>> products;
+      for (const job_id id : stage) products.push_back(ctx.wait(id).outputs.at(0));
+      return products;
+    };
+    const std::vector<crypto::rlwe_request> flows{
+        {.message = std::vector<u64>(32, 1), .eta = 2, .seed = 7},
+        {.message = std::vector<u64>(32, 0), .eta = 2, .seed = 8}};
+    const auto results =
+        crypto::rlwe_encrypt_batch(crypto::runtime_ring(ctx), flows, batch_mul);
+    std::vector<std::vector<u64>> outs;
+    for (const auto& r : results) {
+      outs.push_back(r.u);
+      outs.push_back(r.v);
+      outs.push_back(r.decrypted);
+    }
+    for (const job_id id : ids) outs.push_back(ctx.wait(id).outputs.at(0));
+    return std::make_pair(std::move(outs), ctx.stats());
+  };
 
-  auto s1 = ctx.stream({});
-  auto s2 = ctx.stream({});
-  const job_id rlwe_id = s1.submit(rlwe_encrypt_job{
-      .message = std::vector<u64>(32, 1), .eta = 2, .seed = 7});
-  const job_id ntt_id = s2.submit(ntt_job{.coeffs = random_poly(32, 193, rng)});
-  ctx.flush();
-  EXPECT_EQ(ctx.wait(rlwe_id).status, job_status::ok);
-  EXPECT_EQ(ctx.wait(ntt_id).status, job_status::ok);
-  EXPECT_EQ(ctx.stats().groups_merged, 0u);
+  const auto [plain, plain_stats] = run(false);
+  const auto [merged, merged_stats] = run(true);
+  EXPECT_EQ(plain, merged);
+  EXPECT_EQ(plain_stats.groups_merged, 0u);
+  EXPECT_GE(merged_stats.groups_merged, 1u) << "a stage group must absorb the other stream";
+  EXPECT_LT(merged_stats.batches, plain_stats.batches);
+  EXPECT_EQ(merged[2], std::vector<u64>(32, 1)) << "flow 0 decrypts to its message";
+  EXPECT_EQ(merged[5], std::vector<u64>(32, 0)) << "flow 1 decrypts to its message";
 }
 
 // ---- budget-based preemptive yielding ---------------------------------------
@@ -400,6 +433,38 @@ TEST(PreemptiveYield, ChunkBudgetAloneDoesNotChangeResultsOrMissAccounting) {
   EXPECT_EQ(chunked_stats.deadline_misses, 0u);
   EXPECT_GT(chunked_stats.batches, whole_stats.batches)
       << "the budget must actually split the dispatch";
+}
+
+TEST(PreemptiveYield, RlweStagesChunkUnderABudget) {
+  // R-LWE stage products obey the stream's chunk budget like any other
+  // jobs: at budget 1 every product is its own batch (4 per flow, 4m in
+  // all) instead of 3 staged batches — with bit-identical ciphertexts.
+  common::xoshiro256ss rng(95);
+  std::vector<crypto::rlwe_request> flows;
+  for (u64 seed = 30; seed < 33; ++seed) {
+    std::vector<u64> message(32);
+    for (auto& m : message) m = rng.below(2);
+    flows.push_back({.message = message, .eta = 2, .seed = seed});
+  }
+  const auto run = [&](u64 budget) {
+    context ctx(small_sram().with_threads(2));
+    auto s = ctx.stream({.chunk_budget = budget});
+    auto results = crypto::rlwe_encrypt_batch(crypto::runtime_ring(ctx), flows,
+                                              crypto::stream_batch_mul(ctx, s));
+    return std::make_pair(std::move(results), ctx.stats());
+  };
+
+  const auto [whole, whole_stats] = run(0);
+  const auto [chunked, chunked_stats] = run(1);
+  EXPECT_EQ(whole_stats.batches, 3u);
+  EXPECT_EQ(chunked_stats.batches, 4u * flows.size());
+  EXPECT_EQ(chunked_stats.jobs_completed, whole_stats.jobs_completed);
+  ASSERT_EQ(chunked.size(), whole.size());
+  for (std::size_t i = 0; i < whole.size(); ++i) {
+    EXPECT_EQ(chunked[i].u, whole[i].u) << "flow " << i;
+    EXPECT_EQ(chunked[i].v, whole[i].v) << "flow " << i;
+    EXPECT_EQ(chunked[i].decrypted, flows[i].message) << "flow " << i;
+  }
 }
 
 TEST(PreemptiveYield, BackendsHonorChunkBudgetDefensively) {

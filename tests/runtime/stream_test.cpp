@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "runtime/context.h"
 
 namespace bpntt::runtime {
@@ -158,8 +159,9 @@ TEST(RuntimeStreams, ContextRejectsRingsOutsideTheBackendEnvelope) {
 }
 
 TEST(RuntimeStreams, SubmitValidatesAgainstCapabilityBits) {
-  // A backend whose capabilities exclude ring products: polymul and rlwe
-  // submissions are rejected up front.
+  // A backend whose capabilities exclude ring products: polymul
+  // submissions are rejected up front, and so is an R-LWE flow — its first
+  // ring product fails to submit, so nothing is enqueued.
   class no_polymul final : public backend {
     [[nodiscard]] std::string_view name() const noexcept override { return "no-polymul"; }
     [[nodiscard]] backend_caps capabilities() const override { return {}; }
@@ -180,8 +182,12 @@ TEST(RuntimeStreams, SubmitValidatesAgainstCapabilityBits) {
   EXPECT_THROW((void)ctx.submit(polymul_job{.a = random_poly(32, 193, rng),
                                             .b = random_poly(32, 193, rng)}),
                std::invalid_argument);
-  EXPECT_THROW((void)ctx.submit(rlwe_encrypt_job{.message = std::vector<u64>(32, 0)}),
+  const std::vector<crypto::rlwe_request> flow{{.message = std::vector<u64>(32, 0)}};
+  EXPECT_THROW((void)crypto::rlwe_encrypt_batch(
+                   crypto::runtime_ring(ctx), flow,
+                   crypto::stream_batch_mul(ctx, ctx.default_stream())),
                std::invalid_argument);
+  EXPECT_EQ(ctx.pending(), 1u) << "only the transform is queued";
 }
 
 // ---- placement -------------------------------------------------------------
@@ -445,11 +451,11 @@ TEST(RuntimeStreams, DeadlineMissesAreAccountedNotPreempted) {
 }
 
 TEST(RuntimeStreams, FinishingExactlyAtTheDeadlineIsAMeetNotAMiss) {
-  // Regression for the boundary the two dispatch paths must agree on: a
-  // group whose completion lands *exactly* on deadline_cycles has met its
-  // budget.  The stub reports a fixed 1000-cycle batch, so the boundary is
-  // exact by construction — and the second stream flushes after the first
-  // completed, pinning the "measured from the stream's flush" reference.
+  // Regression for the deadline boundary: a group whose completion lands
+  // *exactly* on deadline_cycles has met its budget.  The stub reports a
+  // fixed 1000-cycle batch, so the boundary is exact by construction — and
+  // the second stream flushes after the first completed, pinning the
+  // "measured from the stream's flush" reference.
   recording_backend::config cfg;
   cfg.ntt_cost = 1000;
   auto owned = std::make_unique<recording_backend>(cfg);
@@ -465,7 +471,7 @@ TEST(RuntimeStreams, FinishingExactlyAtTheDeadlineIsAMeetNotAMiss) {
   EXPECT_EQ(ctx.stats().deadline_misses, 0u);
 
   // One cycle less of budget on a later flush (non-zero reference vtime):
-  // the identical batch now misses — on the same dispatch path.
+  // the identical batch now misses.
   auto tight = ctx.stream({.deadline_cycles = 999});
   const auto missed = tight.submit(ntt_job{.coeffs = random_poly(32, 193, rng)});
   tight.flush();
@@ -473,29 +479,6 @@ TEST(RuntimeStreams, FinishingExactlyAtTheDeadlineIsAMeetNotAMiss) {
   const auto r_missed = ctx.wait(missed);
   EXPECT_TRUE(r_missed.deadline_missed);
   EXPECT_EQ(ctx.stats().deadline_misses, 1u);
-}
-
-TEST(RuntimeStreams, RlwePathSharesTheExactDeadlineBoundary) {
-  // The staged R-LWE flow accounts its deadline at its last product stage
-  // through the same helper as plain dispatches: three 1000-cycle product
-  // stages finish at exactly 3000 — a meet at 3000, a miss at 2999.
-  common::xoshiro256ss rng(32);
-  std::vector<u64> message(32, 0);
-  for (auto& b : message) b = rng() & 1ULL;
-
-  const auto run_with_deadline = [&](u64 deadline) {
-    recording_backend::config cfg;
-    cfg.ntt_cost = 1000;
-    auto owned = std::make_unique<recording_backend>(cfg);
-    context ctx(small_sram().with_threads(1), std::move(owned));
-    auto s = ctx.stream({.deadline_cycles = deadline});
-    const auto id = s.submit(rlwe_encrypt_job{.message = message});
-    s.flush();
-    ctx.sync();
-    return ctx.wait(id).deadline_missed;
-  };
-  EXPECT_FALSE(run_with_deadline(3000)) << "exactly at the deadline is a meet";
-  EXPECT_TRUE(run_with_deadline(2999));
 }
 
 // ---- limb-stream lifecycle -------------------------------------------------

@@ -15,6 +15,7 @@
 #include <vector>
 
 #include "common/xoshiro.h"
+#include "crypto/rlwe.h"
 #include "nttmath/primes.h"
 #include "service/service.h"
 
@@ -27,7 +28,6 @@ using runtime::dispatch_hints;
 using runtime::job_status;
 using runtime::ntt_job;
 using runtime::polymul_job;
-using runtime::rlwe_encrypt_job;
 using runtime::transform_dir;
 
 runtime::runtime_options small_sram() {
@@ -149,7 +149,9 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
   // The MPSC stress: several client threads push a deterministic mix of
   // job kinds through one service; every ticket must resolve exactly once
   // with outputs bit-identical to the same jobs run serially through a
-  // plain context.  Lost or duplicated submissions fail loudly here.
+  // plain context.  Lost or duplicated submissions fail loudly here.  An
+  // R-LWE flow runs the crypto client over its session: its four ring
+  // products are polymul tickets, and its outputs are {u, v, decrypted}.
   constexpr unsigned kProducers = 4;
   constexpr unsigned kJobsEach = 30;
 
@@ -157,7 +159,7 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
     unsigned kind;  // 0 = fwd ntt, 1 = inv ntt, 2 = polymul, 3 = rlwe
     ntt_job ntt;
     polymul_job mul;
-    rlwe_encrypt_job rlwe;
+    crypto::rlwe_request rlwe;
   };
   std::vector<std::vector<planned_job>> plan(kProducers);
   for (unsigned p = 0; p < kProducers; ++p) {
@@ -180,7 +182,7 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
         default: {
           std::vector<u64> msg(32);
           for (auto& b : msg) b = rng() & 1ULL;
-          j.rlwe = rlwe_encrypt_job{.message = msg, .seed = rng()};
+          j.rlwe = crypto::rlwe_request{.message = msg, .seed = rng()};
           break;
         }
       }
@@ -188,30 +190,50 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
     }
   }
 
+  using outputs = std::vector<std::vector<u64>>;
+  const auto flow_outputs = [](crypto::rlwe_result r) {
+    return outputs{std::move(r.u), std::move(r.v), std::move(r.decrypted)};
+  };
   // The serial ground truth.
   runtime::context direct(small_sram());
-  std::vector<std::vector<std::vector<std::vector<u64>>>> expected(kProducers);
+  const auto ring = crypto::runtime_ring(direct);
+  std::vector<std::vector<outputs>> expected(kProducers);
+  u64 tickets_expected = 0;
   for (unsigned p = 0; p < kProducers; ++p) {
     for (const auto& j : plan[p]) {
-      runtime::job_id id = 0;
-      if (j.kind <= 1) {
-        id = direct.submit(j.ntt);
-      } else if (j.kind == 2) {
-        id = direct.submit(j.mul);
-      } else {
-        id = direct.submit(j.rlwe);
+      if (j.kind == 3) {
+        expected[p].push_back(flow_outputs(crypto::rlwe_encrypt_batch(
+            ring, {&j.rlwe, 1}, crypto::stream_batch_mul(direct, direct.default_stream()))[0]));
+        tickets_expected += 4;  // a*s, a*r, b*r, u*s
+        continue;
       }
+      const runtime::job_id id = j.kind <= 1 ? direct.submit(j.ntt) : direct.submit(j.mul);
       expected[p].push_back(direct.wait(id).outputs);
+      tickets_expected += 1;
     }
   }
 
   service svc(small_sram());
   std::vector<std::vector<ticket>> tickets(kProducers);
+  std::vector<std::vector<outputs>> flows(kProducers);
   std::vector<std::thread> threads;
   for (unsigned p = 0; p < kProducers; ++p) {
     tickets[p].resize(kJobsEach);
+    flows[p].resize(kJobsEach);
     threads.emplace_back([&, p] {
       auto sess = svc.open_session();
+      // The session-ticket multiplier: one polymul ticket per pair.
+      const auto batch_mul = [&](std::vector<core::polymul_pair> pairs) {
+        std::vector<ticket> ts;
+        for (auto& pr : pairs) ts.push_back(sess.submit(polymul_job{pr.a, pr.b}));
+        std::vector<std::vector<u64>> products;
+        for (auto& t : ts) {
+          auto r = t.get();
+          if (r.status != job_status::ok) throw std::runtime_error(r.error);
+          products.push_back(std::move(r.outputs.front()));
+        }
+        return products;
+      };
       for (unsigned i = 0; i < kJobsEach; ++i) {
         const auto& j = plan[p][i];
         if (j.kind <= 1) {
@@ -219,7 +241,12 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
         } else if (j.kind == 2) {
           tickets[p][i] = sess.submit(j.mul);
         } else {
-          tickets[p][i] = sess.submit(j.rlwe);
+          try {
+            flows[p][i] =
+                flow_outputs(crypto::rlwe_encrypt_batch(ring, {&j.rlwe, 1}, batch_mul)[0]);
+          } catch (const std::exception& e) {
+            ADD_FAILURE() << "producer " << p << " flow " << i << ": " << e.what();
+          }
         }
       }
     });
@@ -228,6 +255,10 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
 
   for (unsigned p = 0; p < kProducers; ++p) {
     for (unsigned i = 0; i < kJobsEach; ++i) {
+      if (plan[p][i].kind == 3) {
+        EXPECT_EQ(flows[p][i], expected[p][i]) << "producer " << p << " flow " << i;
+        continue;
+      }
       const auto r = tickets[p][i].get();
       ASSERT_EQ(r.status, job_status::ok) << "producer " << p << " job " << i
                                           << ": " << r.error;
@@ -235,10 +266,10 @@ TEST(Service, ConcurrentProducersGetBitIdenticalResultsToSerial) {
     }
   }
   const auto s = svc.stats();
-  EXPECT_EQ(s.submitted, u64{kProducers} * kJobsEach);
-  EXPECT_EQ(s.admitted, u64{kProducers} * kJobsEach);
-  EXPECT_EQ(s.completed, u64{kProducers} * kJobsEach);
-  EXPECT_EQ(s.latency_samples, u64{kProducers} * kJobsEach);
+  EXPECT_EQ(s.submitted, tickets_expected);
+  EXPECT_EQ(s.admitted, tickets_expected);
+  EXPECT_EQ(s.completed, tickets_expected);
+  EXPECT_EQ(s.latency_samples, tickets_expected);
   EXPECT_EQ(s.rejected, 0u);
   EXPECT_EQ(s.failed, 0u);
   EXPECT_EQ(s.queued, 0u);

@@ -41,7 +41,6 @@ bool is_span(telemetry::trace_op op) {
     case telemetry::trace_op::ntt_forward:
     case telemetry::trace_op::ntt_inverse:
     case telemetry::trace_op::polymul:
-    case telemetry::trace_op::rlwe_stage:
     case telemetry::trace_op::rescale:
     case telemetry::trace_op::base_extend:
       return true;
