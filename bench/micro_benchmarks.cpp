@@ -3,6 +3,8 @@
 // subarray micro-ops, and microcode compilation/execution.
 #include <benchmark/benchmark.h>
 
+#include <chrono>
+
 #include "bpntt/engine.h"
 #include "common/xoshiro.h"
 #include "nttmath/barrett.h"
@@ -75,17 +77,40 @@ void BM_ModmulBitParallelModel(benchmark::State& state) {
 }
 BENCHMARK(BM_ModmulBitParallelModel);
 
-void BM_SubarrayPairOp(benchmark::State& state) {
+// Host time of one simulated array cycle, per micro-op class, on the
+// Table I geometry (256 columns, 16-bit tiles).
+enum class subarray_op { pair, masked_copy, segmented_shift, check_pred, check_zero };
+
+void BM_SubarrayOp(benchmark::State& state, subarray_op op) {
   bpntt::sram::subarray array(32, bpntt::sram::tile_geometry{256, 16},
                               bpntt::sram::tech_45nm());
-  array.host_write_word(0, 0, 0xABCD);
-  array.host_write_word(0, 1, 0x1234);
+  bpntt::common::xoshiro256ss rng(4);
+  // Operands below 2^15, as in the microcode: lossless shifts drop nothing.
+  for (unsigned row = 0; row < 4; ++row) {
+    for (unsigned t = 0; t < 16; ++t) array.host_write_word(t, row, rng() & 0x7FFF);
+  }
+  array.op_check_pred(0, 3);  // a mixed predicate latch for the masked copy
   for (auto _ : state) {
-    array.op_pair(2, 3, 0, 1);
+    switch (op) {
+      case subarray_op::pair: array.op_pair(2, 3, 0, 1); break;
+      case subarray_op::masked_copy:
+        array.op_copy(2, 1, false, bpntt::sram::write_mask::pred);
+        break;
+      case subarray_op::segmented_shift:
+        array.op_shift(2, 1, bpntt::sram::shift_dir::left, true, true);
+        break;
+      case subarray_op::check_pred: array.op_check_pred(1, 5); break;
+      case subarray_op::check_zero: array.op_check_zero(1); break;
+    }
     benchmark::DoNotOptimize(array.stats().cycles);
   }
+  state.SetItemsProcessed(state.iterations());
 }
-BENCHMARK(BM_SubarrayPairOp);
+BENCHMARK_CAPTURE(BM_SubarrayOp, pair, subarray_op::pair);
+BENCHMARK_CAPTURE(BM_SubarrayOp, masked_copy, subarray_op::masked_copy);
+BENCHMARK_CAPTURE(BM_SubarrayOp, segmented_shift, subarray_op::segmented_shift);
+BENCHMARK_CAPTURE(BM_SubarrayOp, check_pred, subarray_op::check_pred);
+BENCHMARK_CAPTURE(BM_SubarrayOp, check_zero, subarray_op::check_zero);
 
 void BM_CompileForward256(benchmark::State& state) {
   bpntt::core::ntt_params p;
@@ -122,5 +147,32 @@ void BM_SimulateForward64(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_SimulateForward64);
+
+void BM_SimulateForward256(benchmark::State& state) {
+  // The Table I batch: 16 lanes of 256-point NTTs, q = 12289, k = 16, on one
+  // 256x256 subarray.  ns_per_array_op is host time per simulated array
+  // cycle, the simulator row of the performance ledger.
+  bpntt::core::ntt_params p;
+  p.n = 256;
+  p.q = 12289;
+  p.k = 16;
+  bpntt::core::bp_ntt_engine eng(bpntt::core::engine_config{}, p);
+  bpntt::common::xoshiro256ss rng(5);
+  std::vector<u64> poly(p.n);
+  for (unsigned lane = 0; lane < eng.lanes(); ++lane) {
+    for (auto& x : poly) x = rng.below(p.q);
+    eng.load_polynomial(lane, poly);
+  }
+  std::uint64_t array_ops = 0;
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    const auto stats = eng.run_forward();
+    array_ops += stats.total_array_ops();
+    benchmark::DoNotOptimize(stats.cycles);
+  }
+  const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - start;
+  state.counters["ns_per_array_op"] = elapsed.count() / static_cast<double>(array_ops);
+}
+BENCHMARK(BM_SimulateForward256)->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -77,6 +77,19 @@ void microcode_compiler::emit_ripple(isa::program_builder& b, std::uint16_t sum_
   b.branch_nonzero_to(start);
 }
 
+std::uint64_t microcode_compiler::op_budget(const isa::program& p) const {
+  const std::uint64_t extra_iters =
+      (params_.k + options_.ripple_check_period - 1) / options_.ripple_check_period - 1;
+  std::uint64_t budget = p.size();
+  for (const isa::micro_op& op : p.ops) {
+    const bool loop_back = op.type == isa::op_type::check && op.mode == isa::check_mode::ctrl &&
+                           op.ctrl == isa::ctrl_kind::branch_nonzero && op.offset < 0;
+    // A backward branch at pc to pc + 1 + offset closes a -offset-op body.
+    if (loop_back) budget += static_cast<std::uint64_t>(-op.offset) * extra_iters;
+  }
+  return budget;
+}
+
 // One Montgomery halving step (Algorithm 2 lines 11-16):
 //   m  = LSB(Sum) ? M : 0                      (Check + masked copy)
 //   c1,s1 = {Sum & m, Sum ^ m}

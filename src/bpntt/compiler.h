@@ -73,6 +73,17 @@ class microcode_compiler {
   [[nodiscard]] isa::program compile_mod_add(unsigned dst, unsigned a, unsigned b) const;
   [[nodiscard]] isa::program compile_mod_sub(unsigned dst, unsigned a, unsigned b) const;
 
+  // Upper bound on the ops (array and controller) a program compiled here
+  // executes on fault-free hardware: its static length plus, for every
+  // ripple loop, the loop body repeated ceil(k / ripple_check_period) - 1
+  // more times.  Every backward branch the compiler emits closes a ripple
+  // loop, and a ripple ends within k segmented shifts: a shift moves each
+  // carry bit one column toward its tile MSB and the half-add only clears
+  // carry bits, so after j shifts no carry bit sits below tile bit j.  A
+  // run past the bound is on faulty hardware (a stuck-at-1 column keeps a
+  // carry row non-zero forever).
+  [[nodiscard]] std::uint64_t op_budget(const isa::program& p) const;
+
  private:
   // One half-adder layer {AND -> c_dst, XOR -> s_dst}.  Fused: one
   // dual-write activation; unfused: two activations (c_dst must not alias

@@ -110,9 +110,9 @@ std::vector<u64> bp_ntt_engine::peek_polynomial(unsigned lane, const region& src
   return out;
 }
 
-sram::op_stats bp_ntt_engine::execute(const isa::program& p) {
+sram::op_stats bp_ntt_engine::execute(const compiled_kernel& k) {
   const sram::op_stats before = array_->stats();
-  exec_.run(p, *array_);
+  isa::executor(k.op_budget).run(k.program, *array_);
   sram::op_stats after = array_->stats();
   sram::op_stats delta;
   delta.cycles = after.cycles - before.cycles;

@@ -112,13 +112,25 @@ class bp_ntt_engine {
     auto operator<=>(const program_key&) const = default;
   };
 
-  sram::op_stats execute(const isa::program& p);
+  // A compiled kernel and its op budget (microcode_compiler::op_budget):
+  // a run that exceeds the budget throws instead of spinning on a faulty
+  // array.
+  struct compiled_kernel {
+    isa::program program;
+    std::uint64_t op_budget = 0;
+  };
+
+  sram::op_stats execute(const compiled_kernel& k);
   // Compile-once lookup; `compile` is only invoked on a miss (no type
   // erasure, so cache hits cost a map find and nothing else).
   template <typename F>
-  const isa::program& cached(const program_key& key, F&& compile) {
+  const compiled_kernel& cached(const program_key& key, F&& compile) {
     auto it = cache_.find(key);
-    if (it == cache_.end()) it = cache_.emplace(key, compile()).first;
+    if (it == cache_.end()) {
+      isa::program p = compile();
+      const std::uint64_t budget = compiler_.op_budget(p);
+      it = cache_.emplace(key, compiled_kernel{std::move(p), budget}).first;
+    }
     return it->second;
   }
   void write_constants();
@@ -131,10 +143,9 @@ class bp_ntt_engine {
   twiddle_plan plan_;
   std::unique_ptr<sram::subarray> array_;
   microcode_compiler compiler_;
-  isa::executor exec_;
   // Compiled-program cache covering every kernel (forward, inverse,
   // pointwise, basemul, modmul_rows) so repeated batches never recompile.
-  std::map<program_key, isa::program> cache_;
+  std::map<program_key, compiled_kernel> cache_;
 };
 
 }  // namespace bpntt::core

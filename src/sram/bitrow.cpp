@@ -6,8 +6,45 @@
 
 namespace bpntt::sram {
 
+namespace {
+constexpr std::uint64_t low_bits(unsigned count) noexcept {
+  return count >= 64 ? ~0ULL : (1ULL << count) - 1;
+}
+}  // namespace
+
+std::uint64_t extract_bits(const std::uint64_t* words, unsigned base, unsigned count) noexcept {
+  assert(count <= 64);
+  if (count == 0) return 0;
+  const unsigned i = base / 64;
+  const unsigned off = base % 64;
+  std::uint64_t v = words[i] >> off;
+  if (off != 0 && off + count > 64) v |= words[i + 1] << (64 - off);
+  return v & low_bits(count);
+}
+
+void deposit_bits(std::uint64_t* words, unsigned base, unsigned count,
+                  std::uint64_t value) noexcept {
+  assert(count <= 64);
+  if (count == 0) return;
+  const std::uint64_t m = low_bits(count);
+  value &= m;
+  const unsigned i = base / 64;
+  const unsigned off = base % 64;
+  words[i] = (words[i] & ~(m << off)) | (value << off);
+  if (off != 0 && off + count > 64) {
+    const unsigned spill = 64 - off;
+    words[i + 1] = (words[i + 1] & ~(m >> spill)) | (value >> spill);
+  }
+}
+
 bitrow::bitrow(unsigned width) : width_(width), limbs_((width + 63) / 64, 0) {
   if (width == 0) throw std::invalid_argument("bitrow: zero width");
+}
+
+bitrow::bitrow(unsigned width, std::span<const std::uint64_t> words) : bitrow(width) {
+  if (words.size() != limbs_.size()) throw std::invalid_argument("bitrow: word count mismatch");
+  limbs_.assign(words.begin(), words.end());
+  if (width_ % 64 != 0) limbs_.back() &= low_bits(width_ % 64);
 }
 
 bool bitrow::get(unsigned i) const noexcept {
@@ -42,77 +79,14 @@ unsigned bitrow::popcount() const noexcept {
   return n;
 }
 
-void bitrow::trim() noexcept {
-  const unsigned top = width_ % 64;
-  if (top != 0) limbs_.back() &= (1ULL << top) - 1;
-}
-
-bitrow bitrow::bit_and(const bitrow& a, const bitrow& b) {
-  if (a.width_ != b.width_) throw std::invalid_argument("bitrow: width mismatch");
-  bitrow r(a.width_);
-  for (std::size_t i = 0; i < r.limbs_.size(); ++i) r.limbs_[i] = a.limbs_[i] & b.limbs_[i];
-  return r;
-}
-
-bitrow bitrow::bit_or(const bitrow& a, const bitrow& b) {
-  if (a.width_ != b.width_) throw std::invalid_argument("bitrow: width mismatch");
-  bitrow r(a.width_);
-  for (std::size_t i = 0; i < r.limbs_.size(); ++i) r.limbs_[i] = a.limbs_[i] | b.limbs_[i];
-  return r;
-}
-
-bitrow bitrow::bit_xor(const bitrow& a, const bitrow& b) {
-  if (a.width_ != b.width_) throw std::invalid_argument("bitrow: width mismatch");
-  bitrow r(a.width_);
-  for (std::size_t i = 0; i < r.limbs_.size(); ++i) r.limbs_[i] = a.limbs_[i] ^ b.limbs_[i];
-  return r;
-}
-
-bitrow bitrow::bit_nor(const bitrow& a, const bitrow& b) {
-  bitrow r = bit_or(a, b);
-  return r.inverted();
-}
-
-bitrow bitrow::inverted() const {
-  bitrow r(width_);
-  for (std::size_t i = 0; i < limbs_.size(); ++i) r.limbs_[i] = ~limbs_[i];
-  r.trim();
-  return r;
-}
-
-bitrow bitrow::shifted_left() const {
-  bitrow r(width_);
-  std::uint64_t carry = 0;
-  for (std::size_t i = 0; i < limbs_.size(); ++i) {
-    r.limbs_[i] = (limbs_[i] << 1) | carry;
-    carry = limbs_[i] >> 63;
-  }
-  r.trim();
-  return r;
-}
-
-bitrow bitrow::shifted_right() const {
-  bitrow r(width_);
-  std::uint64_t carry = 0;
-  for (std::size_t i = limbs_.size(); i-- > 0;) {
-    r.limbs_[i] = (limbs_[i] >> 1) | (carry << 63);
-    carry = limbs_[i] & 1ULL;
-  }
-  return r;
-}
-
 std::uint64_t bitrow::extract(unsigned base, unsigned count) const noexcept {
   assert(count <= 64 && base + count <= width_);
-  std::uint64_t v = 0;
-  for (unsigned i = 0; i < count; ++i) {
-    if (get(base + i)) v |= 1ULL << i;
-  }
-  return v;
+  return extract_bits(limbs_.data(), base, count);
 }
 
 void bitrow::deposit(unsigned base, unsigned count, std::uint64_t value) noexcept {
   assert(count <= 64 && base + count <= width_);
-  for (unsigned i = 0; i < count; ++i) set(base + i, (value >> i) & 1ULL);
+  deposit_bits(limbs_.data(), base, count, value);
 }
 
 std::string bitrow::to_string() const {

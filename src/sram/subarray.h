@@ -27,8 +27,34 @@
 // The model also enforces the paper's two structural observations: shifts
 // flagged `expect_lossless` count any dropped 1-bit as a violation
 // (Observation 1 for `Carry << 1`, Observation 2 for `s1 >> 1`).
+//
+// Storage and mask model.  All rows live in one contiguous buffer of 64-bit
+// words with a fixed stride of ceil(cols / 64) words per row; column c of a
+// row is bit c % 64 of its word c / 64, and bits past `cols` stay 0.  A
+// micro-op is a handful of in-place word operations:
+//
+// * a result is staged in a fixed-size stack buffer before it is stored, so
+//   a destination aliasing a source sees latched operands (as the SA
+//   latches do) and `op_pair` stores c before s; a plain copy is stored
+//   straight from its source row, as the store reads each word before
+//   writing it;
+// * the store applies stuck-column faults to the result, then merges it
+//   under the predicate latch for masked writes;
+// * tile structure is three column masks precomputed for the current tile
+//   width — every tile's LSB column, every tile's MSB column, and the
+//   columns inside some tile.  A segmented shift is a whole-row word shift
+//   ANDed with them, and a lossless-shift violation count is
+//   popcount(src & boundary column);
+// * the predicate broadcast gathers bit `bit_index` of every tile onto the
+//   tile LSB columns (x) and spreads it over the tile as (x << k) - x, a
+//   multiword subtraction; the zero test is an OR-reduce.
+//
+// Energy per op class is computed once from the tech_model expressions and
+// added once per op, so `energy_pj` is the same sum a per-op evaluation
+// would give.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <vector>
 
@@ -53,24 +79,25 @@ class subarray {
  public:
   subarray(unsigned rows, tile_geometry geom, tech_params tech);
 
-  [[nodiscard]] unsigned rows() const noexcept { return static_cast<unsigned>(data_.size()); }
+  [[nodiscard]] unsigned rows() const noexcept { return rows_; }
   [[nodiscard]] unsigned cols() const noexcept { return geom_.cols; }
   [[nodiscard]] const tile_geometry& geometry() const noexcept { return geom_; }
   [[nodiscard]] const tech_params& tech() const noexcept { return tech_; }
   [[nodiscard]] const op_stats& stats() const noexcept { return stats_; }
   void reset_stats() noexcept { stats_ = {}; }
 
-  // Reconfigure the tile width (the paper's bitwidth flexibility).  Data is
-  // left in place; callers reload their layout afterwards.
+  // Reconfigure the tile width (the paper's bitwidth flexibility).  Data and
+  // the predicate latch are left in place; callers reload their layout
+  // afterwards.
   void set_tile_bits(unsigned tile_bits);
 
   // --- Host (non-compute) access: ordinary cache reads/writes. ---
   void host_write_row(unsigned row, const bitrow& value);
-  [[nodiscard]] const bitrow& host_read_row(unsigned row);
+  [[nodiscard]] bitrow host_read_row(unsigned row);
   void host_write_word(unsigned tile, unsigned row, std::uint64_t value);
   [[nodiscard]] std::uint64_t host_read_word(unsigned tile, unsigned row);
   // Debug peek that does not touch statistics (used by tests/traces).
-  [[nodiscard]] const bitrow& peek(unsigned row) const;
+  [[nodiscard]] bitrow peek(unsigned row) const;
   [[nodiscard]] std::uint64_t peek_word(unsigned tile, unsigned row) const;
 
   // --- Compute micro-ops (1 array cycle each). ---
@@ -86,7 +113,7 @@ class subarray {
   bool op_check_zero(unsigned src);
 
   [[nodiscard]] bool zero_flag() const noexcept { return zero_flag_; }
-  [[nodiscard]] const bitrow& predicate_mask() const noexcept { return pred_mask_; }
+  [[nodiscard]] bitrow predicate_mask() const { return bitrow(geom_.cols, pred_); }
 
   // --- Fault injection (test harness): a stuck-at fault on one sense
   // amplifier forces that column of every *written* result to `value`.
@@ -96,17 +123,49 @@ class subarray {
   void clear_faults() noexcept;
 
  private:
-  void store(unsigned dst, const bitrow& value, write_mask mask);
+  static constexpr unsigned max_rows = 4096;
+  static constexpr unsigned max_cols = 4096;
+  static constexpr unsigned max_words = max_cols / 64;
+  // Stack staging buffer for one result row.
+  using row_words = std::array<std::uint64_t, max_words>;
+
+  [[nodiscard]] std::uint64_t* row(unsigned r) noexcept {
+    return data_.data() + std::size_t{r} * words_;
+  }
+  [[nodiscard]] const std::uint64_t* row(unsigned r) const noexcept {
+    return data_.data() + std::size_t{r} * words_;
+  }
+  void store(unsigned dst, const std::uint64_t* value, write_mask mask);
   void bounds(unsigned row) const;
-  void add_energy_compute(unsigned rows_activated, bool writes_back, unsigned result_rows = 1);
+  // Recompute the tile masks and the tile-width-dependent energies.
+  void configure_tiles();
 
   tile_geometry geom_;
   tech_params tech_;
-  std::vector<bitrow> data_;
-  bitrow pred_mask_;
+  unsigned rows_ = 0;
+  unsigned words_ = 0;               // words per row
+  std::uint64_t top_mask_ = 0;       // valid columns of a row's last word
+  std::vector<std::uint64_t> data_;  // rows_ x words_, row-major
+  // Per-column masks, words_ each.
+  std::vector<std::uint64_t> pred_;  // predicate latch
+  std::vector<std::uint64_t> tile_lsb_;
+  std::vector<std::uint64_t> tile_msb_;
+  std::vector<std::uint64_t> used_;  // columns inside some tile
+  // Stuck-at faults: stored results become (v & ~stuck_low_) | stuck_high_.
+  std::vector<std::uint64_t> stuck_low_;
+  std::vector<std::uint64_t> stuck_high_;
   bool zero_flag_ = false;
   op_stats stats_;
-  std::vector<std::pair<unsigned, bool>> stuck_columns_;
+  // Per-op energies in pJ.
+  struct {
+    double binary = 0;      // dual-row activation, one result row
+    double pair = 0;        // dual-row activation, two result rows
+    double copy = 0;        // single-row activation with write back
+    double shift = 0;
+    double check = 0;
+    double word_write = 0;  // host tile write (tile-width dependent)
+    double word_read = 0;   // host tile read (tile-width dependent)
+  } energy_;
 };
 
 }  // namespace bpntt::sram

@@ -76,6 +76,26 @@ TEST(FaultInjection, StuckHighSaHangsTheRippleAndTripsTheWatchdog) {
   EXPECT_THROW(guarded.run(comp.compile_mod_add(2, 0, 1), arr), std::runtime_error);
 }
 
+TEST(FaultInjection, StuckHighSaFailsTheEngineRunInsteadOfHanging) {
+  // Through the engine no hand-built executor is involved: every kernel
+  // runs under the budget derived from its compiled program, so the same
+  // fault on the Table I batch throws after ~0.6 M ops instead of spinning
+  // through a 2^32-op default.
+  ntt_params p;
+  p.n = 256;
+  p.q = 12289;
+  p.k = 16;
+  bp_ntt_engine eng(engine_config{}, p);
+  common::xoshiro256ss rng(23);
+  std::vector<u64> poly(p.n);
+  for (auto& x : poly) x = rng.below(p.q);
+  for (unsigned lane = 0; lane < eng.lanes(); ++lane) eng.load_polynomial(lane, poly);
+  eng.mutable_array().inject_stuck_column(20, true);  // tile 1, bit 4
+  const std::uint64_t before = eng.cumulative_stats().total_array_ops();
+  EXPECT_THROW(eng.run_forward(), std::runtime_error);
+  EXPECT_LT(eng.cumulative_stats().total_array_ops() - before, 1'000'000u);
+}
+
 TEST(FaultInjection, StuckLowSaAlsoDetected) {
   // Column 0 = tile 0 LSB; stuck-0 kills the Montgomery LSB logic there.
   const auto out = run_with_optional_fault(true, 0, false);

@@ -111,6 +111,53 @@ TEST(ProgramStructure, PerButterflyCycleBudget) {
   EXPECT_LT(per_bf, 350.0);
 }
 
+TEST(ProgramStructure, OpBudgetBoundsHealthyRunsForEveryMicrocodeVariant) {
+  // The derived budget must never trip on fault-free hardware, whatever
+  // the ripple check period or half-adder fusion.
+  ntt_params p;
+  p.n = 32;
+  p.q = 193;
+  p.k = 9;
+  const row_layout L{32};
+  const math::ntt_tables t(p.n, p.q, true);
+  for (const bool fuse : {true, false}) {
+    for (const unsigned period : {1u, 2u, 3u, 8u}) {
+      compile_options o;
+      o.fuse_pairs = fuse;
+      o.ripple_check_period = period;
+      const microcode_compiler comp(p, L, o);
+      const auto prog = comp.compile_forward(make_twiddle_plan(p, t));
+      const std::uint64_t budget = comp.op_budget(prog);
+      sram::subarray arr(L.total_rows(), sram::tile_geometry{36, p.k}, sram::tech_45nm());
+      common::xoshiro256ss rng(13);
+      for (unsigned tile = 0; tile < arr.geometry().num_tiles(); ++tile) {
+        arr.host_write_word(tile, L.m_row(), p.q);
+        arr.host_write_word(tile, L.mneg_row(), (1ULL << p.k) - p.q);
+        arr.host_write_word(tile, L.one_row(), 1);
+        for (unsigned r = 0; r < p.n; ++r) arr.host_write_word(tile, r, rng.below(p.q));
+      }
+      const auto run = isa::executor(budget).run(prog, arr);
+      EXPECT_LE(run.executed_ops + run.executed_ctrl, budget)
+          << "fuse " << fuse << " period " << period;
+      EXPECT_GT(budget, prog.size());
+    }
+  }
+}
+
+TEST(ProgramStructure, TableOneForwardBudgetIsAboutSixHundredThousandOps) {
+  // 202,401 static ops with 6,144 four-op ripple loops, each allowed
+  // ceil(16 / 1) - 1 = 15 extra iterations: 202,401 + 6,144 x 60.
+  ntt_params p;
+  p.n = 256;
+  p.q = 12289;
+  p.k = 16;
+  const microcode_compiler comp(p, row_layout{256});
+  const math::ntt_tables t(p.n, p.q, true);
+  const auto prog = comp.compile_forward(make_twiddle_plan(p, t));
+  EXPECT_EQ(prog.size(), 202401u);
+  EXPECT_EQ(comp.op_budget(prog), 202401u + 6144u * 4u * 15u);
+}
+
 TEST(ProgramStructure, EveryKernelEndsWithHalt) {
   ntt_params p;
   p.n = 16;

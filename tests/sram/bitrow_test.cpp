@@ -2,7 +2,7 @@
 
 #include <gtest/gtest.h>
 
-#include "common/xoshiro.h"
+#include <vector>
 
 namespace bpntt::sram {
 namespace {
@@ -22,58 +22,6 @@ TEST(Bitrow, GetSetClear) {
   EXPECT_FALSE(r.any());
 }
 
-TEST(Bitrow, LogicMatchesWordOracle) {
-  common::xoshiro256ss rng(1);
-  for (int trial = 0; trial < 50; ++trial) {
-    const std::uint64_t a = rng(), b = rng();
-    bitrow ra(64), rb(64);
-    ra.deposit(0, 64, a);
-    rb.deposit(0, 64, b);
-    EXPECT_EQ(bitrow::bit_and(ra, rb).extract(0, 64), a & b);
-    EXPECT_EQ(bitrow::bit_or(ra, rb).extract(0, 64), a | b);
-    EXPECT_EQ(bitrow::bit_xor(ra, rb).extract(0, 64), a ^ b);
-    EXPECT_EQ(bitrow::bit_nor(ra, rb).extract(0, 64), ~(a | b));
-    EXPECT_EQ(ra.inverted().extract(0, 64), ~a);
-  }
-}
-
-TEST(Bitrow, InvertedRespectsWidth) {
-  bitrow r(10);
-  const bitrow inv = r.inverted();
-  EXPECT_EQ(inv.popcount(), 10u);  // only 10 bits, not a full limb
-}
-
-TEST(Bitrow, ShiftLeftMovesTowardHigherColumns) {
-  bitrow r(130);
-  r.set(0, true);
-  r.set(63, true);   // limb boundary crossing
-  r.set(129, true);  // falls off the top
-  const bitrow s = r.shifted_left();
-  EXPECT_TRUE(s.get(1));
-  EXPECT_TRUE(s.get(64));
-  EXPECT_FALSE(s.get(0));
-  EXPECT_EQ(s.popcount(), 2u);
-}
-
-TEST(Bitrow, ShiftRightMovesTowardLowerColumns) {
-  bitrow r(130);
-  r.set(0, true);  // falls off the bottom
-  r.set(64, true);
-  r.set(129, true);
-  const bitrow s = r.shifted_right();
-  EXPECT_TRUE(s.get(63));
-  EXPECT_TRUE(s.get(128));
-  EXPECT_EQ(s.popcount(), 2u);
-}
-
-TEST(Bitrow, ShiftRoundTripRandom) {
-  common::xoshiro256ss rng(2);
-  bitrow r(256);
-  for (unsigned i = 1; i + 1 < 256; ++i) r.set(i, rng.coin());
-  EXPECT_EQ(r.shifted_left().shifted_right(), r);
-  EXPECT_EQ(r.shifted_right().shifted_left(), r);
-}
-
 TEST(Bitrow, ExtractDeposit) {
   bitrow r(256);
   r.deposit(100, 16, 0xBEEF);
@@ -81,6 +29,22 @@ TEST(Bitrow, ExtractDeposit) {
   EXPECT_EQ(r.extract(96, 4), 0u);
   r.deposit(100, 16, 0x1);
   EXPECT_EQ(r.extract(100, 16), 0x1u);
+  // A field straddling a word boundary, and a full 64-bit field.
+  r.deposit(120, 16, 0xA5C3);
+  EXPECT_EQ(r.extract(120, 16), 0xA5C3u);
+  EXPECT_EQ(r.extract(116, 4), 0u);
+  EXPECT_EQ(r.extract(136, 4), 0u);
+  r.deposit(130, 64, ~0ULL);
+  EXPECT_EQ(r.extract(130, 64), ~0ULL);
+  EXPECT_EQ(r.extract(120, 10), 0x1C3u);
+  EXPECT_EQ(r.popcount(), 1u + 64u + 5u);
+}
+
+TEST(Bitrow, FromWordsDropsBitsPastWidth) {
+  const std::vector<std::uint64_t> words{~0ULL, ~0ULL};
+  const bitrow r(70, words);
+  EXPECT_EQ(r.popcount(), 70u);
+  EXPECT_EQ(r.words()[1], 0x3Fu);
 }
 
 TEST(Bitrow, ToStringMsbFirst) {
@@ -93,7 +57,8 @@ TEST(Bitrow, ToStringMsbFirst) {
 TEST(Bitrow, RejectsZeroWidth) { EXPECT_THROW(bitrow(0), std::invalid_argument); }
 
 TEST(Bitrow, WidthMismatchThrows) {
-  EXPECT_THROW(bitrow::bit_and(bitrow(8), bitrow(16)), std::invalid_argument);
+  const std::vector<std::uint64_t> two_words(2, 0);
+  EXPECT_THROW(bitrow(8, two_words), std::invalid_argument);
 }
 
 }  // namespace

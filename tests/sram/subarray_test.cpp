@@ -45,6 +45,26 @@ TEST(Subarray, BinaryOpsAllTilesSimultaneously) {
   EXPECT_EQ(a.stats().binary_ops, 4u);
 }
 
+TEST(Subarray, BinaryOpsMatchWordOracle) {
+  auto a = make_array(8, 64, 64);
+  common::xoshiro256ss rng(1);
+  for (int trial = 0; trial < 50; ++trial) {
+    const std::uint64_t x = rng(), y = rng();
+    a.host_write_word(0, 0, x);
+    a.host_write_word(0, 1, y);
+    a.op_binary(2, 0, 1, logic_fn::op_and);
+    a.op_binary(3, 0, 1, logic_fn::op_or);
+    a.op_binary(4, 0, 1, logic_fn::op_xor);
+    a.op_binary(5, 0, 1, logic_fn::op_nor);
+    a.op_copy(6, 0, /*invert=*/true);
+    EXPECT_EQ(a.peek_word(0, 2), x & y);
+    EXPECT_EQ(a.peek_word(0, 3), x | y);
+    EXPECT_EQ(a.peek_word(0, 4), x ^ y);
+    EXPECT_EQ(a.peek_word(0, 5), ~(x | y));
+    EXPECT_EQ(a.peek_word(0, 6), ~x);
+  }
+}
+
 TEST(Subarray, PairOpWritesBothHalfAdderOutputs) {
   auto a = make_array();
   a.host_write_word(1, 0, 0b1100);
@@ -77,6 +97,15 @@ TEST(Subarray, CopyWithInvert) {
   EXPECT_EQ(a.peek_word(3, 1), 0xFF00u);
 }
 
+TEST(Subarray, CopyInvertRespectsWidth) {
+  // Only the 10 real columns flip, not the rest of the row's word.
+  subarray a(2, tile_geometry{10, 5}, tech_45nm());
+  a.op_copy(1, 0, /*invert=*/true);
+  EXPECT_EQ(a.peek(1).popcount(), 10u);
+  a.op_binary(1, 0, 0, logic_fn::op_nor);
+  EXPECT_EQ(a.peek(1).popcount(), 10u);
+}
+
 TEST(Subarray, SegmentedShiftLeftStaysInTile) {
   auto a = make_array(16, 64, 16);
   for (unsigned t = 0; t < 4; ++t) a.host_write_word(t, 0, 0x8001);  // MSB+LSB set
@@ -102,6 +131,49 @@ TEST(Subarray, UnsegmentedShiftCrossesTiles) {
   a.op_shift(1, 0, shift_dir::left, /*segmented=*/false);
   EXPECT_EQ(a.peek_word(0, 1), 0u);
   EXPECT_EQ(a.peek_word(1, 1), 1u);  // crossed into tile 1's LSB
+}
+
+TEST(Subarray, UnsegmentedShiftLeftCrossesWordBoundary) {
+  subarray a(4, tile_geometry{130, 10}, tech_45nm());
+  bitrow r(130);
+  r.set(0, true);
+  r.set(63, true);   // word boundary crossing
+  r.set(129, true);  // falls off the top
+  a.host_write_row(0, r);
+  a.op_shift(1, 0, shift_dir::left, /*segmented=*/false);
+  const bitrow s = a.peek(1);
+  EXPECT_TRUE(s.get(1));
+  EXPECT_TRUE(s.get(64));
+  EXPECT_FALSE(s.get(0));
+  EXPECT_EQ(s.popcount(), 2u);
+}
+
+TEST(Subarray, UnsegmentedShiftRightCrossesWordBoundary) {
+  subarray a(4, tile_geometry{130, 10}, tech_45nm());
+  bitrow r(130);
+  r.set(0, true);  // falls off the bottom
+  r.set(64, true);
+  r.set(129, true);
+  a.host_write_row(0, r);
+  a.op_shift(1, 0, shift_dir::right, /*segmented=*/false);
+  const bitrow s = a.peek(1);
+  EXPECT_TRUE(s.get(63));
+  EXPECT_TRUE(s.get(128));
+  EXPECT_EQ(s.popcount(), 2u);
+}
+
+TEST(Subarray, UnsegmentedShiftRoundTripRandom) {
+  subarray a(4, tile_geometry{256, 16}, tech_45nm());
+  common::xoshiro256ss rng(2);
+  bitrow r(256);
+  for (unsigned i = 1; i + 1 < 256; ++i) r.set(i, rng.coin());
+  a.host_write_row(0, r);
+  a.op_shift(1, 0, shift_dir::left, false);
+  a.op_shift(1, 1, shift_dir::right, false);
+  EXPECT_EQ(a.peek(1), r);
+  a.op_shift(2, 0, shift_dir::right, false);
+  a.op_shift(2, 2, shift_dir::left, false);
+  EXPECT_EQ(a.peek(2), r);
 }
 
 TEST(Subarray, LosslessViolationCounting) {
@@ -182,7 +254,7 @@ TEST(Subarray, ReconfigurableTileWidth) {
 
 TEST(Subarray, RowBoundsChecked) {
   auto a = make_array(8);
-  EXPECT_THROW(a.host_read_word(0, 8), std::out_of_range);
+  EXPECT_THROW((void)a.host_read_word(0, 8), std::out_of_range);
   EXPECT_THROW(a.op_binary(8, 0, 1, logic_fn::op_and), std::out_of_range);
   EXPECT_THROW(a.op_check_pred(0, 16), std::out_of_range);
 }
