@@ -1,4 +1,4 @@
-// Microcode ablation study: quantifies the design choices DESIGN.md §3
+// Microcode ablation study: quantifies the design choices docs/DESIGN.md §3
 // reconstructs, at the paper's headline configuration (256-point, 16-bit
 // tiles).  Not a paper figure — it bounds how much of the Table I anchor
 // gap is attributable to each reconstruction choice.
@@ -54,7 +54,7 @@ int main() {
   std::printf("%s\n", t.to_string(2).c_str());
 
   std::printf("Reading: the dual-write pair fusion is load-bearing — without it the\n"
-              "design misses the paper's cycle budget by ~2x, which is why DESIGN.md\n"
+              "design misses the paper's cycle budget by ~2x, which is why docs/DESIGN.md\n"
               "adopts it as the faithful reading of Fig. 5(b).  Reduced iterations\n"
               "(a classical Montgomery optimisation the paper does not describe)\n"
               "closes part of the remaining anchor gap; all variants are bit-exact\n"

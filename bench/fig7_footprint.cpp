@@ -55,7 +55,8 @@ int main() {
   std::printf("Ours (paper accounting): %llu cells.\n",
               static_cast<unsigned long long>(
                   bpntt::core::row_layout::footprint_cells_paper(n, k)));
-  std::printf("Ours (incl. our 3 constant rows M, 2^k-M, 1): %llu cells — see DESIGN.md §6.\n",
+  std::printf("Ours (incl. our 3 constant rows M, 2^k-M, 1): %llu cells — "
+              "see docs/DESIGN.md §6.\n",
               static_cast<unsigned long long>(
                   bpntt::core::row_layout::footprint_cells_actual(n, k)));
 

@@ -1,12 +1,13 @@
 // google-benchmark micro-benchmarks for the building blocks: golden NTT
 // (the measured-CPU baseline of Table I), modular-multiplication variants,
-// subarray micro-ops, and microcode compilation/execution.
+// subarray micro-ops, and microcode compilation, decoding and execution.
 #include <benchmark/benchmark.h>
 
 #include <chrono>
 
 #include "bpntt/engine.h"
 #include "common/xoshiro.h"
+#include "isa/kernel.h"
 #include "nttmath/barrett.h"
 #include "nttmath/bp_modmul_ref.h"
 #include "nttmath/montgomery.h"
@@ -126,6 +127,29 @@ void BM_CompileForward256(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_CompileForward256);
+
+void BM_DecodeForward256(benchmark::State& state) {
+  // Decoding the Table I forward program into the executor's kernel: the
+  // one-off cost the engine pays per cached kernel, and what
+  // executor::run(program) adds to every run.
+  bpntt::core::ntt_params p;
+  p.n = 256;
+  p.q = 12289;
+  p.k = 16;
+  const bpntt::math::ntt_tables tables(p.n, p.q, true);
+  const auto plan = bpntt::core::make_twiddle_plan(p, tables);
+  const bpntt::core::microcode_compiler comp(p, bpntt::core::row_layout{256});
+  const auto prog = comp.compile_forward(plan);
+  const auto start = std::chrono::steady_clock::now();
+  for (auto _ : state) {
+    auto kernel = bpntt::isa::decode(prog);
+    benchmark::DoNotOptimize(kernel.ops.data());
+  }
+  const std::chrono::duration<double, std::nano> elapsed = std::chrono::steady_clock::now() - start;
+  const double ops = static_cast<double>(state.iterations()) * static_cast<double>(prog.size());
+  state.counters["ns_per_op"] = elapsed.count() / ops;
+}
+BENCHMARK(BM_DecodeForward256)->Unit(benchmark::kMillisecond);
 
 void BM_SimulateForward64(benchmark::State& state) {
   // Full cycle-level simulation of a 64-point in-SRAM NTT batch.

@@ -2,7 +2,7 @@
 // Table I "CPU" row.  The paper cites a 2 GHz x86 reference at 85 us /
 // 256-point; a modern core with our table-driven implementation is much
 // faster, so the bench prints both the published reference and the local
-// measurement (the comparison methodology is unchanged — see DESIGN.md §4).
+// measurement (the comparison methodology is unchanged — see docs/DESIGN.md §4).
 #pragma once
 
 #include "baselines/design_model.h"

@@ -112,7 +112,7 @@ std::vector<u64> bp_ntt_engine::peek_polynomial(unsigned lane, const region& src
 
 sram::op_stats bp_ntt_engine::execute(const compiled_kernel& k) {
   const sram::op_stats before = array_->stats();
-  isa::executor(k.op_budget).run(k.program, *array_);
+  isa::executor(k.op_budget).run(k.kernel, *array_);
   sram::op_stats after = array_->stats();
   sram::op_stats delta;
   delta.cycles = after.cycles - before.cycles;

@@ -93,7 +93,7 @@ class bp_ntt_engine {
     return array_->stats();
   }
 
-  // Number of distinct compiled kernel programs held by the cache — a
+  // Number of distinct compiled kernels held by the cache — a
   // recompilation regression probe: repeating the same kernel sequence must
   // leave this unchanged.
   [[nodiscard]] std::size_t cached_programs() const noexcept { return cache_.size(); }
@@ -112,11 +112,11 @@ class bp_ntt_engine {
     auto operator<=>(const program_key&) const = default;
   };
 
-  // A compiled kernel and its op budget (microcode_compiler::op_budget):
-  // a run that exceeds the budget throws instead of spinning on a faulty
-  // array.
+  // A compiled kernel, decoded for the executor (the program it came from
+  // is not kept), and its op budget (microcode_compiler::op_budget): a run
+  // that exceeds the budget throws instead of spinning on a faulty array.
   struct compiled_kernel {
-    isa::program program;
+    isa::kernel kernel;
     std::uint64_t op_budget = 0;
   };
 
@@ -127,9 +127,8 @@ class bp_ntt_engine {
   const compiled_kernel& cached(const program_key& key, F&& compile) {
     auto it = cache_.find(key);
     if (it == cache_.end()) {
-      isa::program p = compile();
-      const std::uint64_t budget = compiler_.op_budget(p);
-      it = cache_.emplace(key, compiled_kernel{std::move(p), budget}).first;
+      const isa::program p = compile();
+      it = cache_.emplace(key, compiled_kernel{isa::decode(p), compiler_.op_budget(p)}).first;
     }
     return it->second;
   }
@@ -143,8 +142,9 @@ class bp_ntt_engine {
   twiddle_plan plan_;
   std::unique_ptr<sram::subarray> array_;
   microcode_compiler compiler_;
-  // Compiled-program cache covering every kernel (forward, inverse,
-  // pointwise, basemul, modmul_rows) so repeated batches never recompile.
+  // Compiled-kernel cache covering every kernel (forward, inverse,
+  // pointwise, basemul, modmul_rows) so repeated batches never recompile
+  // or decode again.
   std::map<program_key, compiled_kernel> cache_;
 };
 

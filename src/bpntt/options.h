@@ -1,5 +1,5 @@
 // Microcode generation options — the ablation knobs for the design choices
-// the paper makes implicitly (see DESIGN.md §3 and bench/ablation_microcode):
+// the paper makes implicitly (see docs/DESIGN.md §3 and bench/ablation_microcode):
 //
 // * fuse_pairs: one dual-row activation writes both half-adder outputs
 //   {AND, XOR} in a single cycle (dual write drivers).  Off = conventional

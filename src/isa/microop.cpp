@@ -193,7 +193,13 @@ micro_op decode(std::uint64_t w) {
 }
 
 std::string disassemble(const micro_op& op) {
-  auto row = [](std::uint16_t r) { return "r" + std::to_string(r); };
+  // Built in place: gcc 12 -O3 flags "r" + std::to_string(r) with a
+  // spurious -Wrestrict.
+  auto row = [](std::uint16_t r) {
+    std::string s = std::to_string(r);
+    s.insert(s.begin(), 'r');
+    return s;
+  };
   switch (op.type) {
     case op_type::check:
       switch (op.mode) {

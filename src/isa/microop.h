@@ -7,7 +7,7 @@
 // evaluation uses the "256x256 plus 6 rows" variant (§V-E), whose >256
 // wordlines require 9-bit addresses.  We therefore encode 9-bit row fields
 // and pack control words into 64 bits (35 bits used); this is the only
-// deviation from the figure and is recorded in DESIGN.md §6.
+// deviation from the figure and is recorded in docs/DESIGN.md §6.
 //
 // The controller additionally executes three program-flow pseudo-ops (halt
 // and short relative jumps/branches on the wired-OR zero flag); these never

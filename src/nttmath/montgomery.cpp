@@ -38,7 +38,7 @@ u64 montgomery64::mul(u64 a, u64 b) const noexcept {
 u64 interleaved_montgomery(u64 a, u64 b, u64 q, unsigned k) noexcept {
   assert((q & 1ULL) != 0 && k >= 1 && k <= 63 && q < (1ULL << k));
   assert(a < q && b < q);
-  // Invariant: p < 2q throughout (see DESIGN.md §3 and the property tests).
+  // Invariant: p < 2q throughout (see docs/DESIGN.md §3 and the property tests).
   u64 p = 0;
   for (unsigned i = 0; i < k; ++i) {
     if ((a >> i) & 1ULL) p += b;

@@ -1,41 +1,11 @@
 #include "sram/subarray.h"
 
 #include <algorithm>
-#include <bit>
 #include <stdexcept>
 
 namespace bpntt::sram {
 
 namespace {
-
-// out = in shifted toward higher columns by s over n words; bits shifted
-// past the last word are dropped.  out may alias in.
-void shift_up(std::uint64_t* out, const std::uint64_t* in, unsigned n, unsigned s) {
-  const unsigned ws = s / 64;
-  const unsigned bs = s % 64;
-  for (unsigned i = n; i-- > 0;) {
-    std::uint64_t v = 0;
-    if (i >= ws) {
-      v = in[i - ws] << bs;
-      if (bs != 0 && i > ws) v |= in[i - ws - 1] >> (64 - bs);
-    }
-    out[i] = v;
-  }
-}
-
-// out = in shifted toward lower columns by s over n words.  out may alias in.
-void shift_down(std::uint64_t* out, const std::uint64_t* in, unsigned n, unsigned s) {
-  const unsigned ws = s / 64;
-  const unsigned bs = s % 64;
-  for (unsigned i = 0; i < n; ++i) {
-    std::uint64_t v = 0;
-    if (i + ws < n) {
-      v = in[i + ws] >> bs;
-      if (bs != 0 && i + ws + 1 < n) v |= in[i + ws + 1] << (64 - bs);
-    }
-    out[i] = v;
-  }
-}
 
 void set_col(std::vector<std::uint64_t>& words, unsigned col, bool v) {
   const std::uint64_t bit = 1ULL << (col % 64);
@@ -139,17 +109,18 @@ std::uint64_t subarray::peek_word(unsigned tile, unsigned r) const {
   return extract_bits(row(r), geom_.tile_base(tile), geom_.tile_bits);
 }
 
-void subarray::store(unsigned dst, const std::uint64_t* v, write_mask mask) {
-  bounds(dst);
-  std::uint64_t* out = row(dst);
-  for (unsigned w = 0; w < words_; ++w) {
-    const std::uint64_t x = (v[w] & ~stuck_low_[w]) | stuck_high_[w];
-    // Columns that keep their old value.
-    const std::uint64_t keep = mask == write_mask::none ? 0
-                               : mask == write_mask::pred ? ~pred_[w]
-                                                          : pred_[w];
-    out[w] = (x & ~keep) | (out[w] & keep);
-  }
+row_view subarray::raw() noexcept {
+  return {.data = data_.data(),
+          .words = words_,
+          .cols = geom_.cols,
+          .tile_bits = geom_.tile_bits,
+          .top_mask = top_mask_,
+          .pred = pred_.data(),
+          .tile_lsb = tile_lsb_.data(),
+          .tile_msb = tile_msb_.data(),
+          .used = used_.data(),
+          .stuck_low = stuck_low_.data(),
+          .stuck_high = stuck_high_.data()};
 }
 
 void subarray::inject_stuck_column(unsigned col, bool value) {
@@ -167,25 +138,8 @@ void subarray::op_binary(unsigned dst, unsigned src0, unsigned src1, logic_fn fn
                          write_mask mask) {
   bounds(src0);
   bounds(src1);
-  const std::uint64_t* a = row(src0);
-  const std::uint64_t* b = row(src1);
-  row_words r;
-  switch (fn) {
-    case logic_fn::op_and:
-      for (unsigned w = 0; w < words_; ++w) r[w] = a[w] & b[w];
-      break;
-    case logic_fn::op_or:
-      for (unsigned w = 0; w < words_; ++w) r[w] = a[w] | b[w];
-      break;
-    case logic_fn::op_xor:
-      for (unsigned w = 0; w < words_; ++w) r[w] = a[w] ^ b[w];
-      break;
-    case logic_fn::op_nor:
-      for (unsigned w = 0; w < words_; ++w) r[w] = ~(a[w] | b[w]);
-      r[words_ - 1] &= top_mask_;
-      break;
-  }
-  store(dst, r.data(), mask);
+  bounds(dst);
+  kernels::binary<0>(raw(), dst, src0, src1, fn, mask);
   ++stats_.binary_ops;
   ++stats_.cycles;
   stats_.energy_pj += energy_.binary;
@@ -195,19 +149,10 @@ void subarray::op_pair(unsigned c_dst, unsigned s_dst, unsigned src0, unsigned s
                        write_mask mask) {
   bounds(src0);
   bounds(src1);
+  bounds(c_dst);
+  bounds(s_dst);
   if (c_dst == s_dst) throw std::invalid_argument("subarray: pair destinations collide");
-  // Both SA outputs of one dual-row activation are staged before either
-  // store, so a destination aliasing a source behaves like latched hardware.
-  const std::uint64_t* a = row(src0);
-  const std::uint64_t* b = row(src1);
-  row_words c;
-  row_words s;
-  for (unsigned w = 0; w < words_; ++w) {
-    c[w] = a[w] & b[w];
-    s[w] = a[w] ^ b[w];
-  }
-  store(c_dst, c.data(), mask);
-  store(s_dst, s.data(), mask);
+  kernels::pair<0>(raw(), c_dst, s_dst, src0, src1, mask);
   ++stats_.pair_ops;
   ++stats_.cycles;
   stats_.energy_pj += energy_.pair;
@@ -215,15 +160,8 @@ void subarray::op_pair(unsigned c_dst, unsigned s_dst, unsigned src0, unsigned s
 
 void subarray::op_copy(unsigned dst, unsigned src, bool invert, write_mask mask) {
   bounds(src);
-  const std::uint64_t* in = row(src);
-  if (invert) {
-    row_words r;
-    for (unsigned w = 0; w < words_; ++w) r[w] = ~in[w];
-    r[words_ - 1] &= top_mask_;
-    store(dst, r.data(), mask);
-  } else {
-    store(dst, in, mask);  // store reads each word before writing it
-  }
+  bounds(dst);
+  kernels::copy<0>(raw(), dst, src, invert, mask);
   ++stats_.copy_ops;
   ++stats_.cycles;
   stats_.energy_pj += energy_.copy;
@@ -232,33 +170,9 @@ void subarray::op_copy(unsigned dst, unsigned src, bool invert, write_mask mask)
 void subarray::op_shift(unsigned dst, unsigned src, shift_dir dir, bool segmented,
                         bool expect_lossless) {
   bounds(src);
-  const std::uint64_t* in = row(src);
-  const bool left = dir == shift_dir::left;
-  row_words out;
-  if (left) {
-    shift_up(out.data(), in, words_, 1);
-  } else {
-    shift_down(out.data(), in, words_, 1);
-  }
-  if (segmented) {
-    // A bit leaving a tile through its boundary column is lost, the column
-    // it would enter in the next tile is zero-filled, and columns outside
-    // any tile are cleared so stale bits cannot drift back in.
-    const std::uint64_t* leave = left ? tile_msb_.data() : tile_lsb_.data();
-    const std::uint64_t* enter = left ? tile_lsb_.data() : tile_msb_.data();
-    for (unsigned w = 0; w < words_; ++w) {
-      const std::uint64_t lost = expect_lossless ? in[w] & leave[w] : 0;
-      if (lost != 0) stats_.lossless_shift_violations += static_cast<unsigned>(std::popcount(lost));
-      out[w] &= used_[w] & ~enter[w];
-    }
-  } else {
-    out[words_ - 1] &= top_mask_;
-    if (expect_lossless) {
-      const bool lost = left ? (in[words_ - 1] >> ((geom_.cols - 1) % 64)) & 1ULL : in[0] & 1ULL;
-      if (lost) ++stats_.lossless_shift_violations;
-    }
-  }
-  store(dst, out.data(), write_mask::none);
+  bounds(dst);
+  stats_.lossless_shift_violations +=
+      kernels::shift<0>(raw(), dst, src, dir, segmented, expect_lossless);
   ++stats_.shift_ops;
   ++stats_.cycles;
   stats_.energy_pj += energy_.shift;
@@ -267,21 +181,7 @@ void subarray::op_shift(unsigned dst, unsigned src, shift_dir dir, bool segmente
 void subarray::op_check_pred(unsigned src, unsigned bit_index) {
   bounds(src);
   if (bit_index >= geom_.tile_bits) throw std::out_of_range("subarray: predicate bit index");
-  // x = bit `bit_index` of every tile, moved onto the tile's LSB column;
-  // (x << k) - x then fills columns [base, base + k) of every tile whose
-  // bit is set.  Latch columns outside the tiles keep their value.
-  row_words x;
-  row_words spread;
-  shift_down(x.data(), row(src), words_, bit_index);
-  for (unsigned w = 0; w < words_; ++w) x[w] &= tile_lsb_[w];
-  shift_up(spread.data(), x.data(), words_, geom_.tile_bits);
-  std::uint64_t borrow = 0;
-  for (unsigned w = 0; w < words_; ++w) {
-    const std::uint64_t diff = spread[w] - x[w];
-    const std::uint64_t fill = diff - borrow;
-    borrow = (spread[w] < x[w]) | (diff < borrow);
-    pred_[w] = (pred_[w] & ~used_[w]) | fill;
-  }
+  kernels::check_pred<0>(raw(), src, bit_index);
   ++stats_.check_ops;
   ++stats_.cycles;
   stats_.energy_pj += energy_.check;
@@ -289,10 +189,7 @@ void subarray::op_check_pred(unsigned src, unsigned bit_index) {
 
 bool subarray::op_check_zero(unsigned src) {
   bounds(src);
-  const std::uint64_t* in = row(src);
-  std::uint64_t any = 0;
-  for (unsigned w = 0; w < words_; ++w) any |= in[w];
-  zero_flag_ = any == 0;
+  zero_flag_ = kernels::check_zero<0>(raw(), src);
   ++stats_.check_ops;
   ++stats_.cycles;
   stats_.energy_pj += energy_.check;

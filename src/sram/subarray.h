@@ -8,7 +8,7 @@
 //                    XOR/OR; one result row is written back.
 // * `op_pair`      — same activation, but both half-adder outputs
 //                    {AND -> c_dst, XOR -> s_dst} are written (dual write
-//                    drivers; see DESIGN.md §3 "Fused AND/XOR").
+//                    drivers; see docs/DESIGN.md §3 "Fused AND/XOR").
 // * `op_copy`      — single-row activation, optional output inversion.
 // * `op_shift`     — read a row, rotate the SA latch one column left/right,
 //                    write back.  In tile-segmented mode bits never cross
@@ -33,6 +33,8 @@
 // row is bit c % 64 of its word c / 64, and bits past `cols` stay 0.  A
 // micro-op is a handful of in-place word operations:
 //
+// * the word semantics of every op live in the inline kernels of
+//   row_kernels.h, which the micro-op executor runs as well;
 // * a result is staged in a fixed-size stack buffer before it is stored, so
 //   a destination aliasing a source sees latched operands (as the SA
 //   latches do) and `op_pair` stores c before s; a plain copy is stored
@@ -54,26 +56,16 @@
 // would give.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <vector>
 
 #include "sram/bitrow.h"
+#include "sram/row_kernels.h"
 #include "sram/stats.h"
 #include "sram/tech_model.h"
 #include "sram/tile.h"
 
 namespace bpntt::sram {
-
-enum class logic_fn : std::uint8_t { op_and, op_or, op_xor, op_nor };
-enum class shift_dir : std::uint8_t { left, right };  // left = toward tile MSB
-
-// Write-predication mode for ops that store a result row.
-enum class write_mask : std::uint8_t {
-  none,      // write all columns
-  pred,      // write only columns whose predicate latch is 1
-  pred_inv,  // write only columns whose predicate latch is 0
-};
 
 class subarray {
  public:
@@ -115,6 +107,29 @@ class subarray {
   [[nodiscard]] bool zero_flag() const noexcept { return zero_flag_; }
   [[nodiscard]] bitrow predicate_mask() const { return bitrow(geom_.cols, pred_); }
 
+  // Energy charged per op, in pJ.
+  struct op_energy {
+    double binary = 0;      // dual-row activation, one result row
+    double pair = 0;        // dual-row activation, two result rows
+    double copy = 0;        // single-row activation with write back
+    double shift = 0;
+    double check = 0;
+    double word_write = 0;  // host tile write (tile-width dependent)
+    double word_read = 0;   // host tile read (tile-width dependent)
+  };
+  [[nodiscard]] const op_energy& energy() const noexcept { return energy_; }
+
+  // --- Unchecked access for a micro-op executor that validates row and
+  // bit indices once per program and keeps its counters in locals.  It runs
+  // the row kernels on raw() and hands back its totals (which must count
+  // and charge each op exactly as op_* would) and the zero flag on every
+  // exit through set_counters().
+  [[nodiscard]] row_view raw() noexcept;
+  void set_counters(const op_stats& stats, bool zero_flag) noexcept {
+    stats_ = stats;
+    zero_flag_ = zero_flag;
+  }
+
   // --- Fault injection (test harness): a stuck-at fault on one sense
   // amplifier forces that column of every *written* result to `value`.
   // Models a manufacturing defect; used to prove end-to-end verification
@@ -124,10 +139,7 @@ class subarray {
 
  private:
   static constexpr unsigned max_rows = 4096;
-  static constexpr unsigned max_cols = 4096;
-  static constexpr unsigned max_words = max_cols / 64;
-  // Stack staging buffer for one result row.
-  using row_words = std::array<std::uint64_t, max_words>;
+  static constexpr unsigned max_cols = kernels::max_words * 64;
 
   [[nodiscard]] std::uint64_t* row(unsigned r) noexcept {
     return data_.data() + std::size_t{r} * words_;
@@ -135,7 +147,6 @@ class subarray {
   [[nodiscard]] const std::uint64_t* row(unsigned r) const noexcept {
     return data_.data() + std::size_t{r} * words_;
   }
-  void store(unsigned dst, const std::uint64_t* value, write_mask mask);
   void bounds(unsigned row) const;
   // Recompute the tile masks and the tile-width-dependent energies.
   void configure_tiles();
@@ -156,16 +167,7 @@ class subarray {
   std::vector<std::uint64_t> stuck_high_;
   bool zero_flag_ = false;
   op_stats stats_;
-  // Per-op energies in pJ.
-  struct {
-    double binary = 0;      // dual-row activation, one result row
-    double pair = 0;        // dual-row activation, two result rows
-    double copy = 0;        // single-row activation with write back
-    double shift = 0;
-    double check = 0;
-    double word_write = 0;  // host tile write (tile-width dependent)
-    double word_read = 0;   // host tile read (tile-width dependent)
-  } energy_;
+  op_energy energy_;
 };
 
 }  // namespace bpntt::sram

@@ -8,7 +8,7 @@
 // array, 256-point 16-bit NTT) reproduces the paper's Table I anchor row
 // (3.8 GHz, 0.063 mm^2, ~69 nJ per batch).  Every other configuration is
 // then *derived* from the same constants, which preserves the scaling
-// behaviour the paper's claims rest on (see DESIGN.md §4).
+// behaviour the paper's claims rest on (see docs/DESIGN.md §4).
 #pragma once
 
 #include <cstdint>

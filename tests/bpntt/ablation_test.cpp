@@ -12,9 +12,11 @@ namespace bpntt::core {
 namespace {
 
 struct AblationCase {
-  bool fuse_pairs;
+  // No padding: gtest prints a parameter's raw bytes into its test ID, and
+  // padding bytes would make that ID differ from run to run.
+  std::uint32_t fuse_pairs;
   unsigned check_period;
-  bool reduced;
+  std::uint32_t reduced;
 };
 
 class MicrocodeAblation : public testing::TestWithParam<AblationCase> {};

@@ -42,8 +42,10 @@ struct Fixture {
 };
 
 struct AddSubCase {
+  // No padding: gtest prints a parameter's raw bytes into its test ID, and
+  // padding bytes would make that ID differ from run to run.
   u64 q;
-  unsigned k;
+  u64 k;
 };
 
 class SramAddSub : public testing::TestWithParam<AddSubCase> {};

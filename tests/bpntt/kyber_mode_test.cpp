@@ -60,7 +60,7 @@ TEST(KyberMode, RoundTrip256) {
 TEST(KyberMode, FullPolymulInArray) {
   // NTT(a), NTT(b), basemul, INTT entirely in-array at n=128 (two row
   // regions of the Kyber modulus; the 256-point pair needs 512 data rows,
-  // beyond one subarray's 9-bit addressing — see DESIGN.md §6).
+  // beyond one subarray's 9-bit addressing — see docs/DESIGN.md §6).
   ntt_params p;
   p.n = 128;
   p.q = 3329;

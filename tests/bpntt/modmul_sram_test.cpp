@@ -14,8 +14,10 @@ namespace bpntt::core {
 namespace {
 
 struct ModmulCase {
+  // No padding: gtest prints a parameter's raw bytes into its test ID, and
+  // padding bytes would make that ID differ from run to run.
   u64 q;
-  unsigned k;
+  u64 k;
 };
 
 class SramModmul : public testing::TestWithParam<ModmulCase> {};
@@ -36,7 +38,7 @@ TEST_P(SramModmul, ConstMultiplierMatchesGoldenAcrossLanes) {
 
   // Need M/MNEG/ONE rows to hold the real modulus: use a raw subarray.
   sram::subarray array(row_layout{cfg.data_rows}.total_rows(),
-                       sram::tile_geometry{cfg.cols, k}, sram::tech_45nm());
+                       sram::tile_geometry{cfg.cols, static_cast<unsigned>(k)}, sram::tech_45nm());
   const row_layout L{cfg.data_rows};
   const unsigned lanes = array.geometry().num_tiles();
   for (unsigned t = 0; t < lanes; ++t) {
@@ -76,7 +78,8 @@ TEST_P(SramModmul, DataDrivenMatchesGoldenWithPerLaneMultipliers) {
   p.k = k;
   microcode_compiler comp(p, row_layout{cfg.data_rows});
   const row_layout L{cfg.data_rows};
-  sram::subarray array(L.total_rows(), sram::tile_geometry{cfg.cols, k}, sram::tech_45nm());
+  sram::subarray array(L.total_rows(), sram::tile_geometry{cfg.cols, static_cast<unsigned>(k)},
+                       sram::tech_45nm());
   const unsigned lanes = array.geometry().num_tiles();
   for (unsigned t = 0; t < lanes; ++t) {
     array.host_write_word(t, L.m_row(), q);

@@ -19,11 +19,13 @@ std::vector<u64> random_poly(u64 n, u64 q, common::xoshiro256ss& rng) {
 }
 
 struct SramNttCase {
+  // No padding: gtest prints a parameter's raw bytes into its test ID, and
+  // padding bytes would make that ID differ from run to run.
   u64 n;
   u64 q;
   unsigned k;
   unsigned data_rows;
-  unsigned cols;
+  u64 cols;
 };
 
 class SramNtt : public testing::TestWithParam<SramNttCase> {};

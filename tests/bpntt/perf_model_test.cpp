@@ -19,7 +19,7 @@ TEST(PerfModel, MetricsArithmetic) {
 TEST(PerfModel, MeasuredHeadlineConfigurationInPaperBallpark) {
   // Run the real simulator at the paper's headline point and require the
   // measured latency/throughput to land within 40% of Table I (the paper's
-  // exact microcode is not published; DESIGN.md §3 documents our
+  // exact microcode is not published; docs/DESIGN.md §3 documents our
   // reconstruction).
   engine_config cfg;
   ntt_params p;

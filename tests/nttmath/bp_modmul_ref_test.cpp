@@ -37,8 +37,10 @@ TEST(BpModmul, PaperFig6Example) {
 }
 
 struct WidthCase {
+  // No padding: gtest prints a parameter's raw bytes into its test ID, and
+  // padding bytes would make that ID differ from run to run.
   u64 q;
-  unsigned k;
+  u64 k;
 };
 
 class BpModmulWidths : public testing::TestWithParam<WidthCase> {};

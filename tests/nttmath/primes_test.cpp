@@ -68,8 +68,8 @@ TEST(Primes, NttFriendlyPrimeProperties) {
 }
 
 TEST(Primes, NttFriendlyPrimeRejectsBadWidth) {
-  EXPECT_THROW(ntt_friendly_prime(1, 256), std::runtime_error);
-  EXPECT_THROW(ntt_friendly_prime(63, 256), std::runtime_error);
+  EXPECT_THROW((void)ntt_friendly_prime(1, 256), std::runtime_error);
+  EXPECT_THROW((void)ntt_friendly_prime(63, 256), std::runtime_error);
 }
 
 TEST(Primes, FirstKNttPrimesBuildsAscendingDistinctChains) {

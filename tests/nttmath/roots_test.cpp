@@ -39,8 +39,8 @@ TEST(Roots, NegacyclicPsiSquaresToOmega) {
 }
 
 TEST(Roots, RejectsNonDividingOrder) {
-  EXPECT_THROW(primitive_root_of_unity(512, 3329), std::invalid_argument);  // 512 ∤ 3328
-  EXPECT_THROW(primitive_root_of_unity(0, 17), std::invalid_argument);
+  EXPECT_THROW((void)primitive_root_of_unity(512, 3329), std::invalid_argument);  // 512 ∤ 3328
+  EXPECT_THROW((void)primitive_root_of_unity(0, 17), std::invalid_argument);
 }
 
 TEST(Roots, HasOrderNegativeCases) {
